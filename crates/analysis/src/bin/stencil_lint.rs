@@ -3,8 +3,10 @@
 //! With no arguments, runs the full matrix — pattern conformance for
 //! every boundary condition and kernel path over both the 17-stage
 //! (iord = 2) and the extended iord = 3 graphs, then plan-time
-//! disjointness over a spread of domains, partitions, team shapes and
-//! split axes — and exits non-zero if *any* diagnostic is produced.
+//! disjointness over a spread of domains, partitions, team shapes,
+//! split axes, schedules, fuse depths and tile modes, plus the
+//! Original preset (one part, one whole-domain block, split along `I`)
+//! — and exits non-zero if *any* diagnostic is produced.
 //!
 //! `--mutant <name>` instead seeds one known-bad input and runs the
 //! relevant pass on it; the exit code is still "non-zero iff
@@ -35,11 +37,11 @@
 //! (release build — rebuild in debug).
 
 use islands_analysis::{
-    check_disjointness, check_graph, check_problem, islands_plan, islands_plan_dynamic,
-    islands_plan_fused, islands_plan_tiled, with_offset_removed, Diagnostic, KernelPath,
+    check_disjointness, check_graph, check_problem, islands_plan, with_offset_removed, Diagnostic,
+    KernelPath, SchedulePlan,
 };
 use islands_core::Partition;
-use mpdata::{Boundary, MpdataProblem};
+use mpdata::{Boundary, MpdataProblem, PlanConfig, SchedulePolicy, TileMode};
 use stencil_engine::{balanced_cuts, trace, Axis, CostModel, Offset3, Range1, Region3};
 
 /// Cache budget used for all disjointness plans — small enough to force
@@ -48,6 +50,23 @@ const CACHE_BYTES: usize = 64 * 1024;
 
 /// At most this many diagnostics are printed per run.
 const PRINT_CAP: usize = 40;
+
+/// The lint configuration: [`CACHE_BYTES`] blocks split along
+/// `split_axis`, everything else at the library defaults.
+fn config(split_axis: Axis) -> PlanConfig {
+    PlanConfig {
+        cache_bytes: CACHE_BYTES,
+        split_axis,
+        ..PlanConfig::default()
+    }
+}
+
+/// The plan for `parts` of `domain` under `config`, on the lint's
+/// domains, which always fit the cache budget.
+fn plan(domain: Region3, parts: &[Region3], sizes: &[usize], config: &PlanConfig) -> SchedulePlan {
+    islands_plan(&MpdataProblem::standard(), domain, parts, sizes, config)
+        .expect("lint domains fit the cache budget")
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -192,10 +211,8 @@ fn full_matrix() -> Vec<Diagnostic> {
                         "uniform-2" => vec![2; parts.len()],
                         _ => (0..parts.len()).map(|n| 1 + n % 3).collect(),
                     };
-                    let plan =
-                        islands_plan(&problem, domain, parts, &sizes, split_axis, CACHE_BYTES)
-                            .expect("lint domains fit the cache budget");
-                    let found = check_disjointness(&plan);
+                    let found =
+                        check_disjointness(&plan(domain, parts, &sizes, &config(split_axis)));
                     println!(
                         "disjointness domain={:?} partition={desc} split={split_axis:?} \
                          teams={shape}: {} diagnostic(s)",
@@ -207,17 +224,11 @@ fn full_matrix() -> Vec<Diagnostic> {
                     // Same schedule under dynamic self-scheduling: every
                     // chunk becomes its own claimable slot, so chunk-level
                     // disjointness proves safety for *any* claim order.
-                    let dyn_plan = islands_plan_dynamic(
-                        &problem,
-                        domain,
-                        parts,
-                        &sizes,
-                        split_axis,
-                        CACHE_BYTES,
-                        3,
-                    )
-                    .expect("lint domains fit the cache budget");
-                    let found = check_disjointness(&dyn_plan);
+                    let dynamic = PlanConfig {
+                        schedule: SchedulePolicy::Dynamic { chunks_per_rank: 3 },
+                        ..config(split_axis)
+                    };
+                    let found = check_disjointness(&plan(domain, parts, &sizes, &dynamic));
                     println!(
                         "disjointness domain={:?} partition={desc} split={split_axis:?} \
                          teams={shape} schedule=dynamic(3): {} diagnostic(s)",
@@ -233,17 +244,11 @@ fn full_matrix() -> Vec<Diagnostic> {
                     // partition keeps the matrix affordable.
                     if split_axis == Axis::J && shape == "uniform-2" {
                         for fuse in [2, 3] {
-                            let fused_plan = islands_plan_fused(
-                                &problem,
-                                domain,
-                                parts,
-                                &sizes,
-                                split_axis,
-                                CACHE_BYTES,
-                                fuse,
-                            )
-                            .expect("lint domains fit the cache budget");
-                            let found = check_disjointness(&fused_plan);
+                            let fused = PlanConfig {
+                                fuse_steps: fuse,
+                                ..config(split_axis)
+                            };
+                            let found = check_disjointness(&plan(domain, parts, &sizes, &fused));
                             println!(
                                 "disjointness domain={:?} partition={desc} \
                                  split={split_axis:?} teams={shape} fuse={fuse}: \
@@ -264,9 +269,13 @@ fn full_matrix() -> Vec<Diagnostic> {
                         // rank assignment.)
                         for (ti, tj) in [(3, 2), (64, 64)] {
                             for fuse in [1, 2] {
-                                let tiled_plan =
-                                    islands_plan_tiled(&problem, domain, parts, (ti, tj), fuse);
-                                let found = check_disjointness(&tiled_plan);
+                                let tiled = PlanConfig {
+                                    fuse_steps: fuse,
+                                    tile: TileMode::Fixed { ti, tj },
+                                    ..config(split_axis)
+                                };
+                                let found =
+                                    check_disjointness(&plan(domain, parts, &sizes, &tiled));
                                 println!(
                                     "disjointness domain={:?} partition={desc} \
                                      tile={ti}x{tj} fuse={fuse}: {} diagnostic(s)",
@@ -280,6 +289,22 @@ fn full_matrix() -> Vec<Diagnostic> {
                 }
             }
         }
+
+        // The Original preset: one part, one whole-domain block (an
+        // unbounded cache budget), every stage split along `I`.
+        for team in [1, 2, 3] {
+            let original = PlanConfig {
+                cache_bytes: usize::MAX,
+                split_axis: Axis::I,
+                ..PlanConfig::default()
+            };
+            let found = check_disjointness(&plan(domain, &[domain], &[team], &original));
+            println!(
+                "disjointness domain={domain:?} original teams=1x{team}: {} diagnostic(s)",
+                found.len()
+            );
+            all.extend(found);
+        }
     }
 
     // Sliver tiles on a small prime-extent domain: every tile is a
@@ -287,8 +312,12 @@ fn full_matrix() -> Vec<Diagnostic> {
     let domain = Region3::of_extent(11, 7, 4);
     let parts = domain.split(Axis::I, 2);
     for fuse in [1, 2] {
-        let plan = islands_plan_tiled(&problem, domain, &parts, (1, 1), fuse);
-        let found = check_disjointness(&plan);
+        let sliver = PlanConfig {
+            fuse_steps: fuse,
+            tile: TileMode::Fixed { ti: 1, tj: 1 },
+            ..config(Axis::J)
+        };
+        let found = check_disjointness(&plan(domain, &parts, &[2, 2], &sliver));
         println!(
             "disjointness domain={domain:?} partition=1D x 2 tile=1x1 fuse={fuse}: \
              {} diagnostic(s)",
@@ -325,25 +354,20 @@ fn mutant_drop_offset() -> Vec<Diagnostic> {
 }
 
 fn mutant_overlap_partition() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
     let domain = Region3::of_extent(16, 12, 6);
     let halves = domain.split(Axis::I, 2);
     // Widen the second island one slab into the first: both teams now
     // write the overlap of the shared output with no step-internal sync.
     let grown = halves[1].with_range(Axis::I, Range1::new(halves[1].i.lo - 1, halves[1].i.hi));
     let parts = vec![halves[0], grown];
-    let plan = islands_plan(&problem, domain, &parts, &[2, 2], Axis::J, CACHE_BYTES)
-        .expect("lint domain fits the cache budget");
-    check_disjointness(&plan)
+    check_disjointness(&plan(domain, &parts, &[2, 2], &config(Axis::J)))
 }
 
 fn mutant_overlap_ranks() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
     let domain = Region3::of_extent(16, 12, 6);
     let parts = domain.split(Axis::I, 2);
     let split_axis = Axis::J;
-    let mut plan = islands_plan(&problem, domain, &parts, &[2, 2], split_axis, CACHE_BYTES)
-        .expect("lint domain fits the cache budget");
+    let mut plan = plan(domain, &parts, &[2, 2], &config(split_axis));
     // Widen every rank-0 write one slab past its split boundary, into
     // rank 1's share of the same barrier-fenced epoch.
     for team in &mut plan.teams {
@@ -361,21 +385,15 @@ fn mutant_overlap_ranks() -> Vec<Diagnostic> {
 }
 
 fn mutant_overlap_chunks() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
     let domain = Region3::of_extent(16, 12, 6);
     let parts = domain.split(Axis::I, 2);
     let split_axis = Axis::J;
     // Two ranks × two chunks each: four claimable slots per epoch.
-    let mut plan = islands_plan_dynamic(
-        &problem,
-        domain,
-        &parts,
-        &[2, 2],
-        split_axis,
-        CACHE_BYTES,
-        2,
-    )
-    .expect("lint domain fits the cache budget");
+    let dynamic = PlanConfig {
+        schedule: SchedulePolicy::Dynamic { chunks_per_rank: 2 },
+        ..config(split_axis)
+    };
+    let mut plan = plan(domain, &parts, &[2, 2], &dynamic);
     // Widen the first chunk's writes one slab into the second chunk's
     // share. Unlike `overlap-ranks` this overlap is between two units a
     // *single* worker may claim back to back — still unsafe, because
@@ -395,20 +413,14 @@ fn mutant_overlap_chunks() -> Vec<Diagnostic> {
 }
 
 fn mutant_fused_overlap_step2() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
     let domain = Region3::of_extent(16, 12, 6);
     let parts = domain.split(Axis::I, 2);
     let split_axis = Axis::J;
-    let mut plan = islands_plan_fused(
-        &problem,
-        domain,
-        &parts,
-        &[2, 2],
-        split_axis,
-        CACHE_BYTES,
-        3,
-    )
-    .expect("lint domain fits the cache budget");
+    let fused = PlanConfig {
+        fuse_steps: 3,
+        ..config(split_axis)
+    };
+    let mut plan = plan(domain, &parts, &[2, 2], &fused);
     // Widen rank 0's writes one slab past the split boundary — but only
     // in the *second* fused step's epochs, so a checker that collapses
     // the fused table to its first (or last) step would miss the race.
@@ -430,10 +442,13 @@ fn mutant_fused_overlap_step2() -> Vec<Diagnostic> {
 }
 
 fn mutant_tile_halo_too_narrow() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
     let domain = Region3::of_extent(16, 12, 6);
     let parts = domain.split(Axis::I, 2);
-    let mut plan = islands_plan_tiled(&problem, domain, &parts, (4, 4), 1);
+    let tiled = PlanConfig {
+        tile: TileMode::Fixed { ti: 4, tj: 4 },
+        ..config(Axis::J)
+    };
+    let mut plan = plan(domain, &parts, &[2, 2], &tiled);
     // Shave one I-slab off every tile's first-stage scratch writes: the
     // chain now computes the producer over less than tile + halo —
     // exactly what a rebased scratch footprint one cell too narrow
@@ -452,11 +467,9 @@ fn mutant_tile_halo_too_narrow() -> Vec<Diagnostic> {
 }
 
 fn mutant_stale_output() -> Vec<Diagnostic> {
-    let problem = MpdataProblem::standard();
     let domain = Region3::of_extent(16, 12, 6);
     let parts = domain.split(Axis::I, 2);
-    let mut plan = islands_plan(&problem, domain, &parts, &[2, 2], Axis::J, CACHE_BYTES)
-        .expect("lint domain fits the cache budget");
+    let mut plan = plan(domain, &parts, &[2, 2], &config(Axis::J));
     // Drop the second island's writes to the shared output: its half of
     // the domain is never produced this step, which a reused output
     // buffer (the persistent-plan path) turns into last step's data.

@@ -1,9 +1,10 @@
 //! Pass 2 — plan-time disjointness.
 //!
-//! Reconstructs, from a partition plus a team schedule, exactly the
-//! per-rank read/write regions the islands executor will touch —
-//! [`islands_plan`] mirrors `IslandsExecutor::step` region for region —
-//! and then proves the schedule race-free by region arithmetic alone:
+//! Reconstructs, from a partition, a team shape and a [`PlanConfig`],
+//! exactly the per-rank read/write regions the plan engine will touch —
+//! [`islands_plan`] mirrors `IslandsExecutor::step` region for region,
+//! for every configuration the executor accepts — and then proves the
+//! schedule race-free by region arithmetic alone:
 //!
 //! * within a team, every `(block, stage)` pair is one barrier-fenced
 //!   *epoch*; no rank's write region may intersect another rank's
@@ -21,13 +22,16 @@
 //!   cell is not merely uninitialized, it silently carries the
 //!   previous step's value.
 //!
-//! The checks are sound for [`Boundary::Open`] problems — the only kind
-//! the islands executor accepts — because open-boundary reads clamp
-//! into the halo-expanded boxes recorded here.
+//! The checks are sound for [`mpdata::Boundary::Open`] problems because
+//! open-boundary reads clamp into the halo-expanded boxes recorded
+//! here; the engine accepts periodic problems only as a single
+//! whole-domain sweep, where every box is the whole domain.
 
 use crate::diag::{Diagnostic, DiagnosticCode};
-use mpdata::MpdataProblem;
-use stencil_engine::{tile_grid, Axis, BlockPlanner, FieldRole, PlanBlocksError, Region3};
+use mpdata::{MpdataProblem, PlanConfig, SchedulePolicy, TileMode};
+use stencil_engine::{
+    choose_tile, tile_grid, BlockPlanner, FieldId, FieldRole, PlanBlocksError, Region3, StageDef,
+};
 
 /// One planned access of one rank inside an epoch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,212 +79,126 @@ pub struct SchedulePlan {
     pub teams: Vec<TeamPlan>,
 }
 
-/// Builds the [`SchedulePlan`] the islands executor would run: one part
-/// per team (empty parts allowed — surplus islands idle), `team_sizes`
-/// ranks per team splitting every stage sweep along `split_axis`
-/// (`TeamSpec::team_sizes` provides this shape), wavefront blocks under
-/// `cache_bytes`.
+/// Builds the [`SchedulePlan`] the plan engine would run under
+/// `config` — `IslandsExecutor`, and with it the (3+1)D (one part) and
+/// Original (one part, one whole-domain block) presets: one part per
+/// team (empty parts allowed — surplus islands idle), `team_sizes`
+/// ranks per team (`TeamSpec::team_sizes` provides this shape). Every
+/// access is derived from the region algebra — requirement regions,
+/// wavefront blocking, the tile grid — never from the executor's own
+/// tables.
+///
+/// * **Untiled** plans get one epoch per `(fused step, wavefront block,
+///   stage)`, each rank owning its `rank_slice` of the stage region
+///   along `split_axis`. Under [`SchedulePolicy::Dynamic`] every one of
+///   the `ranks × chunks_per_rank` chunks is its own slot: chunk-level
+///   disjointness implies disjointness under **any** assignment of
+///   chunks to claiming ranks, which is exactly the freedom dynamic
+///   claiming has.
+/// * **Fused** plans (`fuse_steps = k > 1`) mirror the fused
+///   `StepPlan`: fused step `k-1` computes each team's own part; every
+///   earlier step's target is enlarged backwards by one cumulative
+///   stencil halo ([`stencil_engine::StageGraph::external_read_regions`]
+///   on the advected field), and the advected field ping-pongs between
+///   two *team-private* pseudo-fields `x@slot0`/`x@slot1` (fused step
+///   `s < k-1` writes slot `s % 2`; fused step `s > 0` reads slot
+///   `(s-1) % 2` instead of the shared input). Rule 4 (coverage) then
+///   demands each step's halo enlargement be wide enough for the next
+///   step's reads; rules 2–3 prove the slot hand-offs race-free; rule 5
+///   still demands the last fused step's output writes tile the domain.
+/// * **Tiled** plans cut each fused-step target into the same balanced
+///   `(ti, tj)` tile grid the plan builder uses ([`TileMode::Auto`]
+///   resolved through [`stencil_engine::choose_tile`] from
+///   `cache_bytes`). Each tile is one slot — tile-level disjointness
+///   covers any tile → rank assignment, static or dynamic, so the team
+///   shape and schedule do not enter — and each tile's intermediates
+///   are tile-private pseudo-fields (`t0/s0/tile3:flux-i`), mirroring
+///   the rank store rebased per tile, so rule 4 proves the tile halo
+///   sufficient. Epochs are stage-granular: the executor fences only
+///   between fused steps, but the extra model fences are sound for
+///   these graphs — a tile's chain is serial on one rank, and the only
+///   cross-tile mutable fields (the output and the x slots) are written
+///   solely at the final stage over tiles that partition the target.
+///   Unlike the executor, the model does not zero-fill chain-uncovered
+///   scratch reads; for graphs that have any (the MPDATA graphs have
+///   none) the checker is conservative and reports them.
+///
+/// `fuse_steps = 0`, `chunks_per_rank = 0` and zero tile extents are
+/// treated as 1, as in the executor.
 ///
 /// # Errors
 ///
-/// Returns [`PlanBlocksError`] when a part's blocks cannot fit the
-/// cache budget — the same error `IslandsExecutor::step` would surface.
+/// Returns [`PlanBlocksError`] when an untiled part's blocks cannot fit
+/// the cache budget — the same error `IslandsExecutor::step` would
+/// surface.
 ///
 /// # Panics
 ///
 /// Panics if `parts` and `team_sizes` disagree in length or the problem
-/// is not open-boundary (the islands executor rejects it too).
+/// is not open-boundary.
 pub fn islands_plan(
     problem: &MpdataProblem,
     domain: Region3,
     parts: &[Region3],
     team_sizes: &[usize],
-    split_axis: Axis,
-    cache_bytes: usize,
+    config: &PlanConfig,
 ) -> Result<SchedulePlan, PlanBlocksError> {
-    islands_plan_impl(
-        problem,
-        domain,
-        parts,
-        team_sizes,
-        split_axis,
-        cache_bytes,
-        None,
-        1,
-    )
-}
-
-/// Like [`islands_plan`], but for a *temporally blocked* executor that
-/// fuses `fuse_steps` whole time steps into one replay epoch. The
-/// reconstruction mirrors the fused `StepPlan`: fused step `k-1`
-/// computes each team's own part; every earlier step's target is
-/// enlarged backwards by one cumulative stencil halo
-/// ([`stencil_engine::StageGraph::external_read_regions`] on the
-/// advected field), and the advected field ping-pongs between two
-/// *team-private* pseudo-fields `x@slot0`/`x@slot1` (fused step
-/// `s < k-1` writes slot `s % 2`; fused step `s > 0` reads slot
-/// `(s-1) % 2` instead of the shared input). Because the slots are
-/// modelled island-private and non-external, the unchanged
-/// [`check_disjointness`] rules prove the fusion:
-///
-/// * rule 4 (coverage) demands every slot read be covered by earlier
-///   same-team slot writes — i.e. that each step's halo enlargement is
-///   wide enough for the next step's reads;
-/// * rules 2–3 prove no same-epoch or cross-team overlap anywhere in
-///   the fused step table, including the slot hand-offs;
-/// * rule 5 still demands the *last* fused step's shared-output writes
-///   tile the domain.
-///
-/// # Errors
-///
-/// Returns [`PlanBlocksError`] when a fused step's blocks cannot fit
-/// the cache budget.
-///
-/// # Panics
-///
-/// Panics like [`islands_plan`], and if `fuse_steps` is zero.
-pub fn islands_plan_fused(
-    problem: &MpdataProblem,
-    domain: Region3,
-    parts: &[Region3],
-    team_sizes: &[usize],
-    split_axis: Axis,
-    cache_bytes: usize,
-    fuse_steps: usize,
-) -> Result<SchedulePlan, PlanBlocksError> {
-    assert!(fuse_steps > 0, "need at least one fused step");
-    islands_plan_impl(
-        problem,
-        domain,
-        parts,
-        team_sizes,
-        split_axis,
-        cache_bytes,
-        None,
-        fuse_steps,
-    )
-}
-
-/// Like [`islands_plan`], but for the *self-scheduled* executor: each
-/// epoch is pre-split into `team_size × chunks_per_rank` chunks that
-/// ranks claim dynamically. The reconstruction models every chunk as
-/// its own schedule slot (`per_rank` index = chunk index) — sound
-/// because chunk-level disjointness implies disjointness under **any**
-/// assignment of chunks to claiming ranks, which is exactly the freedom
-/// dynamic claiming has; the epoch fencing (team barrier) is unchanged.
-///
-/// # Errors
-///
-/// Returns [`PlanBlocksError`] when a part's blocks cannot fit the
-/// cache budget.
-///
-/// # Panics
-///
-/// Panics like [`islands_plan`], and if `chunks_per_rank` is zero.
-pub fn islands_plan_dynamic(
-    problem: &MpdataProblem,
-    domain: Region3,
-    parts: &[Region3],
-    team_sizes: &[usize],
-    split_axis: Axis,
-    cache_bytes: usize,
-    chunks_per_rank: usize,
-) -> Result<SchedulePlan, PlanBlocksError> {
-    assert!(chunks_per_rank > 0, "need at least one chunk per rank");
-    islands_plan_impl(
-        problem,
-        domain,
-        parts,
-        team_sizes,
-        split_axis,
-        cache_bytes,
-        Some(chunks_per_rank),
-        1,
-    )
-}
-
-/// Like [`islands_plan`], but for the *tile-fused* executor: each
-/// fused-step target is cut into `(ti, tj)` column tiles and every
-/// tile's whole stage chain runs back to back on one rank against
-/// rank-private scratch rebased to the tile's halo footprint. The
-/// reconstruction models:
-///
-/// * one slot per **tile** (not per rank) in every epoch. Tile-level
-///   disjointness implies disjointness under *any* assignment of tiles
-///   to ranks, which covers both the static round-robin and the
-///   dynamic claiming schedule — there is no `team_sizes` parameter
-///   because the proof is independent of the team shape;
-/// * each tile's intermediates as tile-private pseudo-fields
-///   (`t0/s0/tile3:flux-i`), mirroring the rank store rebased per
-///   tile, so rule 4 demands every chain read be covered by the same
-///   tile's earlier-stage writes — the tile-halo sufficiency proof: a
-///   producer region too narrow for a consumer's halo read surfaces
-///   as `UncoveredRead`;
-/// * stage-granular epochs. The real executor fences only between
-///   fused steps, but the extra model fences are sound for these
-///   graphs: within a tile the chain is serial on one rank (so the
-///   per-stage ordering is real), and the only cross-tile mutable
-///   fields are the shared output and the fused x slots, all written
-///   solely at the final stage over tile regions that partition the
-///   step target — while an in-flight step writes slot `ts % 2` and
-///   reads slot `(ts - 1) % 2`, never the same slot.
-///
-/// Unlike the executor, the model does not zero-fill chain-uncovered
-/// scratch reads; for graphs that have any (the MPDATA graphs have
-/// none) the checker is conservative and reports them.
-///
-/// # Panics
-///
-/// Panics like [`islands_plan`], and if `fuse_steps` or a tile extent
-/// is zero.
-pub fn islands_plan_tiled(
-    problem: &MpdataProblem,
-    domain: Region3,
-    parts: &[Region3],
-    tile: (usize, usize),
-    fuse_steps: usize,
-) -> SchedulePlan {
-    let (ti, tj) = tile;
-    assert!(ti > 0 && tj > 0, "tile extents must be positive");
-    assert!(fuse_steps > 0, "need at least one fused step");
+    assert_eq!(parts.len(), team_sizes.len(), "one part per team");
     assert_eq!(
         problem.boundary(),
         mpdata::Boundary::Open,
         "the islands schedule is only defined for open boundaries"
     );
-    let k = fuse_steps;
+    let k = config.fuse_steps.max(1);
     let graph = problem.graph();
     let fields = graph.fields();
-    let xout = problem.xout();
+    let nf = fields.len();
     let x_ext = problem.ext().x;
-    let final_stage = graph
-        .stages()
-        .iter()
-        .position(|st| st.outputs == [xout])
-        .expect("the graph ends in the advected-output stage");
-    let mut field_names: Vec<String> = (0..fields.len())
-        .map(|n| fields.name(stencil_engine::FieldId(n as u32)).to_string())
-        .collect();
-    let mut shared: Vec<bool> = (0..fields.len())
-        .map(|n| fields.role(stencil_engine::FieldId(n as u32)) != FieldRole::Intermediate)
-        .collect();
-    let mut external: Vec<bool> = (0..fields.len())
-        .map(|n| fields.role(stencil_engine::FieldId(n as u32)) == FieldRole::External)
-        .collect();
+    let tile = match config.tile {
+        TileMode::Off => None,
+        TileMode::Auto => Some(choose_tile(graph, domain, config.cache_bytes)),
+        TileMode::Fixed { ti, tj } => Some((ti.max(1), tj.max(1))),
+    };
+    let mut plan = SchedulePlan {
+        domain,
+        field_names: (0..nf)
+            .map(|n| fields.name(FieldId(n as u32)).to_string())
+            .collect(),
+        shared: (0..nf)
+            .map(|n| fields.role(FieldId(n as u32)) != FieldRole::Intermediate)
+            .collect(),
+        external: (0..nf)
+            .map(|n| fields.role(FieldId(n as u32)) == FieldRole::External)
+            .collect(),
+        teams: Vec::with_capacity(parts.len()),
+    };
     if k > 1 {
+        // The team-private ping-pong buffers the advected field moves
+        // through between fused steps (fields `nf` and `nf + 1`).
+        // Island-private and non-external, so rule 2 forbids same-epoch
+        // slot races, rule 4 demands every slot read be covered by
+        // earlier same-team slot writes, and rules 3/5 ignore them.
         for slot in 0..2 {
-            field_names.push(format!("x@slot{slot}"));
-            shared.push(false);
-            external.push(false);
+            plan.add_private(format!("x@slot{slot}"));
         }
     }
+    // The advected field's home in fused step `ts` (`None` for every
+    // other field): the output is written to the step's x slot before
+    // the last fused step, and the input is read after the first fused
+    // step from the previous step's slot.
+    let xout = problem.xout();
+    let x_write = |ts: usize, o: FieldId| {
+        (o == xout).then(|| if ts + 1 < k { nf + ts % 2 } else { o.index() })
+    };
+    let x_read = |ts: usize, f: FieldId| (f == x_ext && ts > 0).then(|| nf + (ts - 1) % 2);
 
-    let mut teams = Vec::with_capacity(parts.len());
-    for (t, &part) in parts.iter().enumerate() {
+    for (t, (&part, &size)) in parts.iter().zip(team_sizes).enumerate() {
         let mut epochs = Vec::new();
         if !part.is_empty() {
-            // Fused-step targets, identical to the fused reconstruction
-            // (and to `fused_step_targets` in the plan builder).
+            // Fused-step targets, back to front: step k-1 computes the
+            // part itself, step s the hull of step s+1's advected-field
+            // reads (one cumulative stencil halo wider, clipped to the
+            // domain).
             let mut step_parts = vec![part; k];
             for ts in (0..k - 1).rev() {
                 step_parts[ts] = graph
@@ -290,227 +208,140 @@ pub fn islands_plan_tiled(
                     .unwrap_or_else(Region3::empty);
             }
             for (ts, &sp) in step_parts.iter().enumerate() {
-                // Cut the step target into tiles exactly as the plan
-                // builder does: the shared balanced grid, I-bands
-                // outer, J-columns inner.
-                let tiles = tile_grid(sp, (ti, tj));
-                // Per-tile backward requirement regions, and one fresh
-                // pseudo-field per (tile, intermediate) pair — sharing
-                // them across tiles would let one tile's writes
-                // spuriously cover another tile's reads.
-                let reqs: Vec<Vec<Region3>> = tiles
-                    .iter()
-                    .map(|&tl| graph.required_regions(tl, domain))
-                    .collect();
-                let mut scratch = vec![vec![usize::MAX; fields.len()]; tiles.len()];
-                for (n, row) in scratch.iter_mut().enumerate() {
-                    for (f, slot) in row.iter_mut().enumerate() {
-                        let fid = stencil_engine::FieldId(f as u32);
-                        if fields.role(fid) == FieldRole::Intermediate {
-                            *slot = field_names.len();
-                            field_names.push(format!("t{t}/s{ts}/tile{n}:{}", fields.name(fid)));
-                            shared.push(false);
-                            external.push(false);
+                match tile {
+                    Some(extents) => {
+                        let tiles = tile_grid(sp, extents);
+                        let reqs: Vec<Vec<Region3>> = tiles
+                            .iter()
+                            .map(|&tl| graph.required_regions(tl, domain))
+                            .collect();
+                        // One fresh pseudo-field per (tile, intermediate):
+                        // sharing them across tiles would let one tile's
+                        // writes spuriously cover another tile's reads.
+                        let scratch: Vec<Vec<usize>> = (0..tiles.len())
+                            .map(|n| {
+                                (0..nf)
+                                    .map(|f| {
+                                        let fid = FieldId(f as u32);
+                                        if fields.role(fid) == FieldRole::Intermediate {
+                                            plan.add_private(format!(
+                                                "t{t}/s{ts}/tile{n}:{}",
+                                                fields.name(fid)
+                                            ))
+                                        } else {
+                                            f
+                                        }
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        for st in graph.stages() {
+                            let per_rank = (0..tiles.len())
+                                .map(|n| {
+                                    stage_accesses(
+                                        st,
+                                        reqs[n][st.id.index()],
+                                        domain,
+                                        |o| x_write(ts, o).unwrap_or(scratch[n][o.index()]),
+                                        |f| x_read(ts, f).unwrap_or(scratch[n][f.index()]),
+                                    )
+                                })
+                                .collect();
+                            epochs.push(Epoch {
+                                label: format!("step {ts} / stage {} (tiles)", st.name),
+                                per_rank,
+                            });
                         }
                     }
-                }
-                for (s, st) in graph.stages().iter().enumerate() {
-                    let mut per_rank = Vec::with_capacity(tiles.len());
-                    for (n, _) in tiles.iter().enumerate() {
-                        let r = reqs[n][st.id.index()];
-                        let mut acc = Vec::new();
-                        if !r.is_empty() {
-                            for &o in &st.outputs {
-                                // The final stage's requirement region
-                                // of a tile is the tile itself; before
-                                // the last fused step it lands in the
-                                // step's x slot, not the shared output.
-                                let field = if s == final_stage {
-                                    if ts + 1 < k {
-                                        fields.len() + ts % 2
-                                    } else {
-                                        o.index()
-                                    }
-                                } else {
-                                    scratch[n][o.index()]
-                                };
-                                acc.push(PlannedAccess {
-                                    field,
-                                    region: r,
-                                    write: true,
-                                });
+                    None => {
+                        // A static schedule is the 1-chunk-per-rank case
+                        // (slot index = rank).
+                        let (slots, slot_word) = match config.schedule {
+                            SchedulePolicy::Static => (size, ""),
+                            SchedulePolicy::Dynamic { chunks_per_rank } => {
+                                (size * chunks_per_rank.max(1), " (dynamic chunks)")
                             }
-                            for (f, pat) in &st.inputs {
-                                let field = if *f == x_ext && ts > 0 {
-                                    fields.len() + (ts - 1) % 2
-                                } else if fields.role(*f) == FieldRole::Intermediate {
-                                    scratch[n][f.index()]
-                                } else {
-                                    f.index()
-                                };
-                                acc.push(PlannedAccess {
-                                    field,
-                                    region: r.expand(pat.halo()).intersect(domain),
-                                    write: false,
+                        };
+                        let step_word = if k > 1 {
+                            format!("step {ts} / ")
+                        } else {
+                            String::new()
+                        };
+                        let blocking = BlockPlanner::new(config.cache_bytes)
+                            .plan_wavefront(graph, sp, domain)?;
+                        for (b, block) in blocking.blocks.iter().enumerate() {
+                            for st in graph.stages() {
+                                let region = block.stage_regions[st.id.index()];
+                                let per_rank = (0..slots)
+                                    .map(|slot| {
+                                        stage_accesses(
+                                            st,
+                                            mpdata::rank_slice(
+                                                region,
+                                                config.split_axis,
+                                                slot,
+                                                slots,
+                                            ),
+                                            domain,
+                                            |o| x_write(ts, o).unwrap_or(o.index()),
+                                            |f| x_read(ts, f).unwrap_or(f.index()),
+                                        )
+                                    })
+                                    .collect();
+                                epochs.push(Epoch {
+                                    label: format!(
+                                        "{step_word}block {b} / stage {}{slot_word}",
+                                        st.name
+                                    ),
+                                    per_rank,
                                 });
                             }
                         }
-                        per_rank.push(acc);
                     }
-                    epochs.push(Epoch {
-                        label: format!("step {ts} / stage {} (tiles)", st.name),
-                        per_rank,
-                    });
                 }
             }
         }
-        teams.push(TeamPlan { epochs });
+        plan.teams.push(TeamPlan { epochs });
     }
-    SchedulePlan {
-        domain,
-        field_names,
-        shared,
-        external,
-        teams,
+    Ok(plan)
+}
+
+impl SchedulePlan {
+    /// Registers an island-private, non-external pseudo-field and
+    /// returns its index.
+    fn add_private(&mut self, name: String) -> usize {
+        self.field_names.push(name);
+        self.shared.push(false);
+        self.external.push(false);
+        self.field_names.len() - 1
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn islands_plan_impl(
-    problem: &MpdataProblem,
+/// One slot's accesses for `stage` computing `region` (none when empty):
+/// its outputs written over `region`, its inputs read over the
+/// halo-expanded region clipped to `domain`. `output`/`input` name the
+/// field each access lands in.
+fn stage_accesses(
+    stage: &StageDef,
+    region: Region3,
     domain: Region3,
-    parts: &[Region3],
-    team_sizes: &[usize],
-    split_axis: Axis,
-    cache_bytes: usize,
-    chunks_per_rank: Option<usize>,
-    fuse_steps: usize,
-) -> Result<SchedulePlan, PlanBlocksError> {
-    assert_eq!(parts.len(), team_sizes.len(), "one part per team");
-    assert_eq!(
-        problem.boundary(),
-        mpdata::Boundary::Open,
-        "the islands schedule is only defined for open boundaries"
-    );
-    let k = fuse_steps.max(1);
-    let graph = problem.graph();
-    let fields = graph.fields();
-    let xout = problem.xout();
-    let x_ext = problem.ext().x;
-    let mut field_names: Vec<String> = (0..fields.len())
-        .map(|n| fields.name(stencil_engine::FieldId(n as u32)).to_string())
-        .collect();
-    let mut shared: Vec<bool> = (0..fields.len())
-        .map(|n| fields.role(stencil_engine::FieldId(n as u32)) != FieldRole::Intermediate)
-        .collect();
-    let mut external: Vec<bool> = (0..fields.len())
-        .map(|n| fields.role(stencil_engine::FieldId(n as u32)) == FieldRole::External)
-        .collect();
-    if k > 1 {
-        // The team-private ping-pong buffers the advected field moves
-        // through between fused steps. Island-private and non-external,
-        // so rule 2 forbids same-epoch slot races, rule 4 demands every
-        // slot read be covered by earlier same-team slot writes, and
-        // rules 3/5 correctly ignore them.
-        for slot in 0..2 {
-            field_names.push(format!("x@slot{slot}"));
-            shared.push(false);
-            external.push(false);
-        }
+    output: impl Fn(FieldId) -> usize,
+    input: impl Fn(FieldId) -> usize,
+) -> Vec<PlannedAccess> {
+    if region.is_empty() {
+        return Vec::new();
     }
-
-    let mut teams = Vec::with_capacity(parts.len());
-    for (&part, &size) in parts.iter().zip(team_sizes) {
-        // Dynamic self-scheduling pre-splits each epoch into
-        // `size × chunks_per_rank` chunks; a static schedule is the
-        // 1-chunk-per-rank special case (slot index = rank).
-        let slots = size * chunks_per_rank.unwrap_or(1);
-        let slot_word = if chunks_per_rank.is_some() {
-            " (dynamic chunks)"
-        } else {
-            ""
-        };
-        let mut epochs = Vec::new();
-        if !part.is_empty() {
-            // Fused-step targets, back to front: step k-1 computes the
-            // part itself, step s the hull of step s+1's advected-field
-            // reads (one cumulative stencil halo wider, clipped to the
-            // domain) — mirroring the fused `StepPlan` builder.
-            let mut step_parts = vec![part; k];
-            for ts in (0..k.saturating_sub(1)).rev() {
-                step_parts[ts] = graph
-                    .external_read_regions(step_parts[ts + 1], domain)
-                    .get(&x_ext)
-                    .copied()
-                    .unwrap_or_else(Region3::empty);
-            }
-            for (ts, &step_part) in step_parts.iter().enumerate() {
-                let step_word = if k > 1 {
-                    format!("step {ts} / ")
-                } else {
-                    String::new()
-                };
-                let blocking =
-                    BlockPlanner::new(cache_bytes).plan_wavefront(graph, step_part, domain)?;
-                for (b, block) in blocking.blocks.iter().enumerate() {
-                    for st in graph.stages() {
-                        let region = block.stage_regions[st.id.index()];
-                        let is_final = st.outputs == [xout];
-                        let mut per_rank = Vec::with_capacity(slots);
-                        for slot in 0..slots {
-                            let mine = mpdata::rank_slice(region, split_axis, slot, slots);
-                            let mut acc = Vec::new();
-                            if !mine.is_empty() {
-                                for &o in &st.outputs {
-                                    // Before the last fused step, the
-                                    // final stage writes the step's
-                                    // x slot, not the shared output.
-                                    let field = if is_final && ts + 1 < k {
-                                        fields.len() + ts % 2
-                                    } else {
-                                        o.index()
-                                    };
-                                    acc.push(PlannedAccess {
-                                        field,
-                                        region: mine,
-                                        write: true,
-                                    });
-                                }
-                                for (f, pat) in &st.inputs {
-                                    // After the first fused step, the
-                                    // advected input comes from the
-                                    // previous step's x slot.
-                                    let field = if *f == x_ext && ts > 0 {
-                                        fields.len() + (ts - 1) % 2
-                                    } else {
-                                        f.index()
-                                    };
-                                    acc.push(PlannedAccess {
-                                        field,
-                                        region: mine.expand(pat.halo()).intersect(domain),
-                                        write: false,
-                                    });
-                                }
-                            }
-                            per_rank.push(acc);
-                        }
-                        epochs.push(Epoch {
-                            label: format!("{step_word}block {b} / stage {}{slot_word}", st.name),
-                            per_rank,
-                        });
-                    }
-                }
-            }
-        }
-        teams.push(TeamPlan { epochs });
-    }
-    Ok(SchedulePlan {
-        domain,
-        field_names,
-        shared,
-        external,
-        teams,
-    })
+    let writes = stage.outputs.iter().map(|&o| PlannedAccess {
+        field: output(o),
+        region,
+        write: true,
+    });
+    let reads = stage.inputs.iter().map(|(f, pat)| PlannedAccess {
+        field: input(*f),
+        region: region.expand(pat.halo()).intersect(domain),
+        write: false,
+    });
+    writes.chain(reads).collect()
 }
 
 /// Proves (or refutes) the plan race-free. Returns all violations, in

@@ -42,6 +42,5 @@ pub use conformance::{
 };
 pub use diag::{Diagnostic, DiagnosticCode};
 pub use disjoint::{
-    check_disjointness, islands_plan, islands_plan_dynamic, islands_plan_fused, islands_plan_tiled,
-    Epoch, PlannedAccess, SchedulePlan, TeamPlan,
+    check_disjointness, islands_plan, Epoch, PlannedAccess, SchedulePlan, TeamPlan,
 };

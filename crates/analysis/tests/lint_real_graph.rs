@@ -4,7 +4,7 @@
 
 use islands_analysis::{check_disjointness, check_problem, islands_plan, KernelPath};
 use islands_core::{Partition, Variant};
-use mpdata::{Boundary, MpdataProblem};
+use mpdata::{Boundary, MpdataProblem, PlanConfig};
 use stencil_engine::{trace, Axis, Range1, Region3};
 
 /// Mixed positive/negative bases shake out coordinate-system bugs.
@@ -63,8 +63,11 @@ fn real_island_schedules_are_disjoint() {
                 d,
                 partition.parts(),
                 &sizes,
-                split_axis,
-                64 * 1024,
+                &PlanConfig {
+                    cache_bytes: 64 * 1024,
+                    split_axis,
+                    ..PlanConfig::default()
+                },
             )
             .unwrap();
             let found = check_disjointness(&plan);
@@ -88,8 +91,11 @@ fn prime_extent_schedule_is_disjoint() {
         d,
         partition.parts(),
         &[2, 2, 2],
-        Axis::J,
-        64 * 1024,
+        &PlanConfig {
+            cache_bytes: 64 * 1024,
+            split_axis: Axis::J,
+            ..PlanConfig::default()
+        },
     )
     .unwrap();
     assert_eq!(check_disjointness(&plan), vec![]);

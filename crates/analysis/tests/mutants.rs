@@ -5,10 +5,10 @@
 //! refactor cannot silently lobotomize a check.
 
 use islands_analysis::{
-    check_disjointness, check_graph, islands_plan, islands_plan_dynamic, islands_plan_fused,
-    with_offset_removed, DiagnosticCode, KernelPath, PlannedAccess,
+    check_disjointness, check_graph, islands_plan, with_offset_removed, DiagnosticCode, KernelPath,
+    PlannedAccess,
 };
-use mpdata::MpdataProblem;
+use mpdata::{MpdataProblem, PlanConfig, SchedulePolicy};
 use stencil_engine::{trace, Axis, Offset3, Range1, Region3, StageGraph, StencilPattern};
 
 fn domain() -> Region3 {
@@ -16,6 +16,31 @@ fn domain() -> Region3 {
 }
 
 const CACHE: usize = 64 * 1024;
+
+/// [`CACHE`]-sized blocks split along `split_axis`, otherwise defaults.
+fn config(split_axis: Axis) -> PlanConfig {
+    PlanConfig {
+        cache_bytes: CACHE,
+        split_axis,
+        ..PlanConfig::default()
+    }
+}
+
+/// [`config`] with `fuse_steps` fused steps per epoch.
+fn fused(split_axis: Axis, fuse_steps: usize) -> PlanConfig {
+    PlanConfig {
+        fuse_steps,
+        ..config(split_axis)
+    }
+}
+
+/// [`config`] self-scheduled with `chunks_per_rank` chunks per rank.
+fn dynamic(split_axis: Axis, chunks_per_rank: usize) -> PlanConfig {
+    PlanConfig {
+        schedule: SchedulePolicy::Dynamic { chunks_per_rank },
+        ..config(split_axis)
+    }
+}
 
 #[test]
 fn dropped_offset_is_an_undeclared_read() {
@@ -105,7 +130,7 @@ fn overlapping_parts_are_a_cross_team_overlap() {
     let d = Region3::of_extent(16, 12, 6);
     let halves = d.split(Axis::I, 2);
     let grown = halves[1].with_range(Axis::I, Range1::new(halves[1].i.lo - 1, halves[1].i.hi));
-    let plan = islands_plan(&problem, d, &[halves[0], grown], &[2, 2], Axis::J, CACHE).unwrap();
+    let plan = islands_plan(&problem, d, &[halves[0], grown], &[2, 2], &config(Axis::J)).unwrap();
     let found = check_disjointness(&plan);
     assert!(
         found
@@ -121,7 +146,7 @@ fn widened_rank_slices_are_an_intra_team_overlap() {
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
     let split = Axis::J;
-    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], split, CACHE).unwrap();
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &config(split)).unwrap();
     for team in &mut plan.teams {
         for ep in &mut team.epochs {
             if let Some(rank0) = ep.per_rank.first_mut() {
@@ -147,7 +172,7 @@ fn writing_an_external_is_flagged() {
     let problem = MpdataProblem::standard();
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
-    let mut plan = islands_plan(&problem, d, &parts, &[1, 1], Axis::J, CACHE).unwrap();
+    let mut plan = islands_plan(&problem, d, &parts, &[1, 1], &config(Axis::J)).unwrap();
     let x = plan.field_names.iter().position(|n| n == "x").unwrap();
     assert!(plan.external[x]);
     plan.teams[0].epochs[0].per_rank[0].push(PlannedAccess {
@@ -169,7 +194,7 @@ fn deleting_a_producer_epoch_is_an_uncovered_read() {
     let problem = MpdataProblem::standard();
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
-    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], Axis::J, CACHE).unwrap();
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &config(Axis::J)).unwrap();
     // Drop team 0's very first epoch (block 0, stage flux_i, the f1
     // producer): the low-order update's read of f1 is now uncovered.
     assert!(plan.teams[0].epochs[0].label.contains("flux_i"));
@@ -188,7 +213,7 @@ fn dropping_an_islands_output_writes_is_an_uncovered_output() {
     let problem = MpdataProblem::standard();
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
-    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], Axis::J, CACHE).unwrap();
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &config(Axis::J)).unwrap();
     // Team 1 never writes xout: with the persistent-plan executors the
     // output buffer is reused across steps, so its half would silently
     // keep the previous step's values.
@@ -226,7 +251,7 @@ fn widened_chunk_is_an_intra_team_overlap_naming_both_slots() {
     // Two ranks × two chunks: four claimable slots per epoch. Widen the
     // first chunk's writes one slab into the second chunk's share — any
     // claim order where different workers take slots 0 and 1 races.
-    let mut plan = islands_plan_dynamic(&problem, d, &parts, &[2, 2], split, CACHE, 2).unwrap();
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &dynamic(split, 2)).unwrap();
     for team in &mut plan.teams {
         for ep in &mut team.epochs {
             if let Some(chunk0) = ep.per_rank.first_mut() {
@@ -262,11 +287,11 @@ fn clean_schedule_stays_clean_as_a_control() {
     let problem = MpdataProblem::standard();
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
-    let plan = islands_plan(&problem, d, &parts, &[2, 2], Axis::J, CACHE).unwrap();
+    let plan = islands_plan(&problem, d, &parts, &[2, 2], &config(Axis::J)).unwrap();
     assert_eq!(check_disjointness(&plan), vec![]);
     // The dynamic variant of the same schedule is clean too: chunk-level
     // disjointness holds, so any claim order is safe.
-    let dyn_plan = islands_plan_dynamic(&problem, d, &parts, &[2, 2], Axis::J, CACHE, 3).unwrap();
+    let dyn_plan = islands_plan(&problem, d, &parts, &[2, 2], &dynamic(Axis::J, 3)).unwrap();
     assert_eq!(check_disjointness(&dyn_plan), vec![]);
 }
 
@@ -280,7 +305,7 @@ fn widened_second_fused_step_is_an_intra_team_overlap() {
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
     let split = Axis::J;
-    let mut plan = islands_plan_fused(&problem, d, &parts, &[2, 2], split, CACHE, 3).unwrap();
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &fused(split, 3)).unwrap();
     for team in &mut plan.teams {
         for ep in &mut team.epochs {
             if !ep.label.starts_with("step 1 /") {
@@ -324,7 +349,7 @@ fn dropping_first_step_producers_is_an_uncovered_slot_read() {
     let problem = MpdataProblem::standard();
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
-    let mut plan = islands_plan_fused(&problem, d, &parts, &[2, 2], Axis::J, CACHE, 2).unwrap();
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &fused(Axis::J, 2)).unwrap();
     let slot0 = plan
         .field_names
         .iter()
@@ -353,15 +378,16 @@ fn clean_fused_schedule_stays_clean_as_a_control() {
     let d = Region3::of_extent(16, 12, 6);
     let parts = d.split(Axis::I, 2);
     for fuse in [2, 3, 4] {
-        let plan = islands_plan_fused(&problem, d, &parts, &[2, 2], Axis::J, CACHE, fuse).unwrap();
+        let plan = islands_plan(&problem, d, &parts, &[2, 2], &fused(Axis::J, fuse)).unwrap();
         assert_eq!(check_disjointness(&plan), vec![], "fuse={fuse} not clean");
     }
-    // fuse = 1 degenerates to the classic plan, labels included.
-    let fused1 = islands_plan_fused(&problem, d, &parts, &[2, 2], Axis::J, CACHE, 1).unwrap();
-    let plain = islands_plan(&problem, d, &parts, &[2, 2], Axis::J, CACHE).unwrap();
-    assert_eq!(fused1.field_names, plain.field_names);
+    // fuse = 0 is treated as 1, as by the executor: the classic plan,
+    // labels included.
+    let fused0 = islands_plan(&problem, d, &parts, &[2, 2], &fused(Axis::J, 0)).unwrap();
+    let plain = islands_plan(&problem, d, &parts, &[2, 2], &config(Axis::J)).unwrap();
+    assert_eq!(fused0.field_names, plain.field_names);
     assert_eq!(
-        fused1.teams[0].epochs[0].label,
+        fused0.teams[0].epochs[0].label,
         plain.teams[0].epochs[0].label
     );
 }

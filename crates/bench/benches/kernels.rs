@@ -4,8 +4,7 @@
 
 use islands_bench::microbench::Harness;
 use mpdata::{
-    gaussian_pulse, ExchangeExecutor, FusedExecutor, IslandsExecutor, OriginalExecutor,
-    ReferenceExecutor,
+    gaussian_pulse, ExchangeExecutor, IslandsExecutor, OriginalExecutor, ReferenceExecutor,
 };
 use stencil_engine::{Axis, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
@@ -27,7 +26,8 @@ fn bench_step(h: &mut Harness) {
         group.bench_param("original_parallel", workers, || {
             std::hint::black_box(original.step(&fields));
         });
-        let fused = FusedExecutor::new(&pool).cache_bytes(256 * 1024);
+        let fused = IslandsExecutor::new(&pool, TeamSpec::even(workers, 1), Axis::I)
+            .cache_bytes(256 * 1024);
         group.bench_param("fused_3p1d", workers, || {
             std::hint::black_box(fused.step(&fields).unwrap());
         });

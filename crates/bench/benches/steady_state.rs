@@ -1,7 +1,7 @@
 //! First-step versus steady-state step cost of the threaded executors.
 //!
-//! The persistent-plan layer makes `IslandsExecutor`/`FusedExecutor`
-//! compute their execution plan (partition, per-island blocking, epoch
+//! The persistent-plan layer makes `IslandsExecutor` (with one island
+//! for the pure (3+1)D rows) compute their execution plan (partition, per-island blocking, epoch
 //! tables, scratch stores) once and replay it allocation-free on every
 //! further step. This bench measures both sides of that trade through
 //! the same `run` entry point:
@@ -53,7 +53,7 @@
 use islands_bench::microbench::{Harness, Phases};
 use islands_trace::metrics::RunMetrics;
 use mpdata::{
-    gaussian_pulse, FusedExecutor, IslandsExecutor, MpdataFields, MpdataProblem, TileMode,
+    gaussian_pulse, IslandsExecutor, MpdataFields, MpdataProblem, SchedulePolicy, TileMode,
 };
 use stencil_engine::{
     balanced_cuts, choose_tile, measured_plane_scale, staged_traffic_bytes, tile_grid,
@@ -355,13 +355,13 @@ fn main() {
                 let fresh = IslandsExecutor::new(&pool, dyn_spec.clone(), Axis::I)
                     .cache_bytes(CACHE_BYTES)
                     .with_partition(dyn_parts.clone())
-                    .self_schedule(2);
+                    .schedule(SchedulePolicy::Dynamic { chunks_per_rank: 2 });
                 fresh.run(&mut f, 1).unwrap();
             });
             let warmed = IslandsExecutor::new(&pool, dyn_spec.clone(), Axis::I)
                 .cache_bytes(CACHE_BYTES)
                 .with_partition(dyn_parts.clone())
-                .self_schedule(2);
+                .schedule(SchedulePolicy::Dynamic { chunks_per_rank: 2 });
             let mut f = fields.clone();
             warmed.run(&mut f, 1).unwrap();
             let steady = format!("islands_dyn_steady/{p}");
@@ -423,10 +423,12 @@ fn main() {
 
         let mut f = fields.clone();
         g.bench_param("fused_first", p, || {
-            let fresh = FusedExecutor::new(&pool).cache_bytes(CACHE_BYTES);
+            let fresh =
+                IslandsExecutor::new(&pool, TeamSpec::even(p, 1), Axis::I).cache_bytes(CACHE_BYTES);
             fresh.run(&mut f, 1).unwrap();
         });
-        let warmed = FusedExecutor::new(&pool).cache_bytes(CACHE_BYTES);
+        let warmed =
+            IslandsExecutor::new(&pool, TeamSpec::even(p, 1), Axis::I).cache_bytes(CACHE_BYTES);
         let mut f = fields.clone();
         warmed.run(&mut f, 1).unwrap();
         let steady = format!("fused_steady/{p}");

@@ -466,7 +466,10 @@ mod tests {
         let mut g = h.group("t");
         g.sample_size(3);
         let mut hits = 0_u64;
-        g.bench("noop", || hits += 1);
+        // `black_box` keeps each iteration observable: a bare
+        // `hits += 1` loop folds into one add in release builds and the
+        // calibration (rightly) rejects it as optimized away.
+        g.bench("noop", || hits = std::hint::black_box(hits + 1));
         g.finish();
         assert_eq!(h.ran, 1);
         assert!(hits > 0);
@@ -628,8 +631,8 @@ mod tests {
         let mut h = test_harness(None);
         let mut g = h.group("t");
         g.sample_size(3);
-        g.bench("a", || {});
-        g.bench("b", || {});
+        g.bench("a", || std::hint::black_box(()));
+        g.bench("b", || std::hint::black_box(()));
         let attached = Phases {
             workers: 4.0,
             kernel_ns: 1.0,

@@ -59,8 +59,8 @@
 //! forces the extents. Also bit-identical under `--verify`.
 
 use mpdata::{
-    gaussian_pulse, random_fields, rotating_cone, Boundary, FusedExecutor, IslandsExecutor,
-    MpdataFields, MpdataProblem, OriginalExecutor, ReferenceExecutor, TileMode,
+    gaussian_pulse, random_fields, rotating_cone, Boundary, IslandsExecutor, MpdataFields,
+    MpdataProblem, OriginalExecutor, ReferenceExecutor, SchedulePolicy, TileMode,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -424,22 +424,13 @@ fn main() -> ExitCode {
             OriginalExecutor::with_problem(&pool, problem()).run(&mut fields, a.steps);
             Ok(())
         }
-        "fused" => {
-            let mut exec = FusedExecutor::with_problem(&pool, problem())
-                .cache_bytes(a.cache)
-                .fuse_steps(a.fuse_steps)
-                .tile(a.tile);
-            if a.self_schedule > 0 {
-                exec = exec.schedule(mpdata::SchedulePolicy::Dynamic {
-                    chunks_per_rank: a.self_schedule,
-                });
-            }
-            exec.run(&mut fields, a.steps).map_err(|e| e.to_string())
-        }
-        "islands" => {
+        // (3+1)D is the islands engine with one island spanning the
+        // whole pool.
+        strategy @ ("fused" | "islands") => {
+            let islands = if strategy == "fused" { 1 } else { a.islands };
             let mut exec = IslandsExecutor::with_problem(
                 &pool,
-                TeamSpec::even(a.workers, a.islands),
+                TeamSpec::even(a.workers, islands),
                 Axis::I,
                 problem(),
             )
@@ -450,7 +441,9 @@ fn main() -> ExitCode {
                 exec = exec.with_partition(parts);
             }
             if a.self_schedule > 0 {
-                exec = exec.self_schedule(a.self_schedule);
+                exec = exec.schedule(SchedulePolicy::Dynamic {
+                    chunks_per_rank: a.self_schedule,
+                });
             }
             exec.run(&mut fields, a.steps).map_err(|e| e.to_string())
         }

@@ -258,15 +258,6 @@ impl ParStore {
         *self.cells.cell_mut(f).get_mut_exclusive() = Some(Array3::zeros(region));
     }
 
-    /// Removes the buffer for `f` (single-threaded teardown phase).
-    pub(crate) fn take(&mut self, f: FieldId) -> Array3 {
-        self.cells
-            .cell_mut(f)
-            .get_mut_exclusive()
-            .take()
-            .expect("buffer present")
-    }
-
     /// Re-targets `f`'s buffer at `region`, reusing its allocation
     /// ([`Array3::rebase`]) — the per-tile scratch shrink of the
     /// tile-fused replay, which must stay allocation-free.

@@ -1,5 +1,6 @@
 //! The islands-of-cores executor — the paper's contribution, as real
-//! threaded code.
+//! threaded code, and the one plan-replay engine every threaded
+//! strategy runs on.
 //!
 //! The domain is partitioned into one part per work team (island). Each
 //! island runs the (3+1)D decomposition on its part, computing every
@@ -9,10 +10,18 @@
 //! (the paper's "extra elements", Table 2). Within a time step islands
 //! synchronize only among their own cores (team barriers between
 //! stages); all islands meet once per step when the team run joins.
+//!
+//! The paper's other strategies are configurations of the same engine:
+//! the pure (3+1)D decomposition is a single island spanning the pool
+//! (`TeamSpec::even(n, 1)`), and the Original version is
+//! [`crate::OriginalExecutor`], a single island with one whole-domain
+//! block.
 
 use crate::fields::MpdataFields;
 use crate::graph::MpdataProblem;
-use crate::plan::{plan_run, plan_step, PartitionKind, SchedulePolicy, StepPlan, TileMode};
+use crate::plan::{
+    plan_run, plan_step, PartitionKind, PlanConfig, PlanKey, SchedulePolicy, StepPlan, TileMode,
+};
 use std::sync::Mutex;
 use stencil_engine::{Array3, Axis, PlanBlocksError, Region3, StageGraph};
 use work_scheduler::{TeamSpec, WorkerPool};
@@ -35,36 +44,30 @@ use work_scheduler::{TeamSpec, WorkerPool};
 ///     .step(&fields)?;
 /// let reference = ReferenceExecutor::new().step(&fields);
 /// assert_eq!(islands.max_abs_diff(&reference), 0.0);
+///
+/// // The pure (3+1)D decomposition: one island spanning the pool.
+/// let fused = IslandsExecutor::new(&pool, TeamSpec::even(4, 1), Axis::I)
+///     .cache_bytes(64 * 1024)
+///     .step(&fields)?;
+/// assert_eq!(fused.max_abs_diff(&reference), 0.0);
 /// # Ok::<(), stencil_engine::PlanBlocksError>(())
 /// ```
-/// Parallel islands-of-cores MPDATA executor (see the crate docs and
-/// the example above the struct's builder methods).
 #[derive(Debug)]
 pub struct IslandsExecutor<'p> {
     pool: &'p WorkerPool,
     teams: TeamSpec,
     problem: MpdataProblem,
-    cache_bytes: usize,
     partition: PartitionKind,
-    /// Axis along which a team splits each stage sweep among its cores.
-    split_axis: Axis,
-    /// How epoch work units are handed to ranks (static slices or
-    /// self-scheduled chunks).
-    schedule: SchedulePolicy,
-    /// Time steps fused into one replay epoch (temporal blocking; 1 =
-    /// classic per-step global synchronization).
-    fuse_steps: usize,
-    /// Cache-tiled stage fusion ([`TileMode::Off`] by default).
-    tile: TileMode,
+    config: PlanConfig,
     /// Cached execution plan, rebuilt whenever its key (domain,
-    /// partition, cache budget, split axis, schedule, fuse depth,
-    /// tile mode) stops matching.
+    /// partition, config) changes.
     plan: Mutex<Option<StepPlan>>,
 }
 
 impl<'p> IslandsExecutor<'p> {
     /// Creates the executor: one island per team of `teams`, partitioning
-    /// the domain along `partition_axis`.
+    /// the domain along `partition_axis`, with the
+    /// [`PlanConfig::default`] settings.
     pub fn new(pool: &'p WorkerPool, teams: TeamSpec, partition_axis: Axis) -> Self {
         Self::with_problem(pool, teams, partition_axis, MpdataProblem::standard())
     }
@@ -80,12 +83,8 @@ impl<'p> IslandsExecutor<'p> {
             pool,
             teams,
             problem,
-            cache_bytes: crate::fused::DEFAULT_CACHE_BYTES,
             partition: PartitionKind::Axis(partition_axis),
-            split_axis: Axis::J,
-            schedule: SchedulePolicy::Static,
-            fuse_steps: 1,
-            tile: TileMode::Off,
+            config: PlanConfig::default(),
             plan: Mutex::new(None),
         }
     }
@@ -100,36 +99,31 @@ impl<'p> IslandsExecutor<'p> {
             self.teams.team_count(),
             "one part per team required"
         );
-        self.partition = PartitionKind::Explicit(parts);
+        self.partition = PartitionKind::Explicit(parts.into());
         self
     }
 
-    /// Sets the per-block cache budget of each island.
+    /// Sets the per-block cache budget of each island (`usize::MAX`
+    /// makes each island's part a single block).
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
-        self.cache_bytes = bytes;
+        self.config.cache_bytes = bytes;
         self
     }
 
-    /// Sets the axis along which a team splits stage sweeps internally.
+    /// Sets the axis along which a team splits stage sweeps internally
+    /// (default `J`).
     pub fn split_axis(mut self, axis: Axis) -> Self {
-        self.split_axis = axis;
+        self.config.split_axis = axis;
         self
     }
 
     /// Sets the intra-island schedule policy (static rank slices by
-    /// default).
+    /// default). [`SchedulePolicy::Dynamic`] is bit-identical to the
+    /// static schedule — chunk boundaries, not claim order, determine
+    /// every written value.
     pub fn schedule(mut self, policy: SchedulePolicy) -> Self {
-        self.schedule = policy;
+        self.config.schedule = policy;
         self
-    }
-
-    /// Shorthand for [`SchedulePolicy::Dynamic`]: every epoch is split
-    /// into `chunks_per_rank` chunks per rank, claimed from a
-    /// preallocated per-epoch queue. Bit-identical to the static
-    /// schedule — chunk boundaries, not claim order, determine every
-    /// written value.
-    pub fn self_schedule(self, chunks_per_rank: usize) -> Self {
-        self.schedule(SchedulePolicy::Dynamic { chunks_per_rank })
     }
 
     /// Fuses `k` whole time steps into one replay epoch (temporal
@@ -141,7 +135,7 @@ impl<'p> IslandsExecutor<'p> {
     /// any step count (a trailing partial epoch replays only its last
     /// sections). Values below 1 are treated as 1.
     pub fn fuse_steps(mut self, k: usize) -> Self {
-        self.fuse_steps = k.max(1);
+        self.config.fuse_steps = k.max(1);
         self
     }
 
@@ -156,7 +150,7 @@ impl<'p> IslandsExecutor<'p> {
     /// schedule and fuse depth (the kernels are pointwise in their
     /// declared neighborhoods).
     pub fn tile(mut self, mode: TileMode) -> Self {
-        self.tile = mode;
+        self.config.tile = mode;
         self
     }
 
@@ -175,37 +169,36 @@ impl<'p> IslandsExecutor<'p> {
         self.partition.parts(domain, self.teams.team_count())
     }
 
+    fn key(&self, domain: Region3) -> PlanKey {
+        PlanKey {
+            domain,
+            partition: self.partition.clone(),
+            config: self.config,
+        }
+    }
+
     /// Performs one time step.
     ///
     /// # Errors
     ///
     /// Returns [`PlanBlocksError`] when an island's block does not fit
     /// the cache budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a periodic problem unless the plan is one island
+    /// sweeping the whole domain as one untiled, unfused block.
     pub fn step(&self, fields: &MpdataFields) -> Result<Array3, PlanBlocksError> {
-        self.check_boundary();
         let mut slot = self.plan.lock().unwrap_or_else(|e| e.into_inner());
+        let key = self.key(fields.domain());
         plan_step(
             self.pool,
             &self.teams,
             &self.problem,
             &mut slot,
-            &self.partition,
-            self.cache_bytes,
-            self.split_axis,
-            self.schedule,
-            self.fuse_steps,
-            self.tile,
+            key,
             fields,
         )
-    }
-
-    fn check_boundary(&self) {
-        assert_eq!(
-            self.problem.boundary(),
-            crate::kernels::Boundary::Open,
-            "the islands executor requires open boundaries: periodic wrap \
-             dependencies cannot be expressed by box-shaped island regions"
-        );
     }
 
     /// Advances `fields.x` by `steps` time steps.
@@ -214,20 +207,20 @@ impl<'p> IslandsExecutor<'p> {
     ///
     /// Returns [`PlanBlocksError`] when an island's block does not fit
     /// the cache budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a periodic problem unless the plan is one island
+    /// sweeping the whole domain as one untiled, unfused block.
     pub fn run(&self, fields: &mut MpdataFields, steps: usize) -> Result<(), PlanBlocksError> {
-        self.check_boundary();
         let mut slot = self.plan.lock().unwrap_or_else(|e| e.into_inner());
+        let key = self.key(fields.domain());
         plan_run(
             self.pool,
             &self.teams,
             &self.problem,
             &mut slot,
-            &self.partition,
-            self.cache_bytes,
-            self.split_axis,
-            self.schedule,
-            self.fuse_steps,
-            self.tile,
+            key,
             fields,
             steps,
         )
@@ -240,24 +233,40 @@ mod tests {
     use crate::fields::{gaussian_pulse, random_fields, rotating_cone};
     use crate::reference::ReferenceExecutor;
     use stencil_engine::rng::Xoshiro256pp;
+    use stencil_engine::BlockPlanner;
+
+    /// Self-scheduling with `chunks_per_rank` chunks per rank.
+    fn dynamic(chunks_per_rank: usize) -> SchedulePolicy {
+        SchedulePolicy::Dynamic { chunks_per_rank }
+    }
 
     #[test]
     fn matches_reference_bitwise_variant_a() {
+        // One island ((3+1)D) across block sizes from many blocks to
+        // one, then the multi-island shapes.
         let d = Region3::of_extent(24, 9, 5);
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         let f = random_fields(&mut rng, d, 0.7);
         let expect = ReferenceExecutor::new().step(&f);
-        for (workers, teams) in [(2, 2), (4, 2), (6, 3), (8, 4)] {
+        for (workers, teams, cache) in [
+            (3, 1, 64 * 1024),
+            (3, 1, 256 * 1024),
+            (3, 1, 16 << 20),
+            (2, 2, 64 * 1024),
+            (4, 2, 64 * 1024),
+            (6, 3, 64 * 1024),
+            (8, 4, 64 * 1024),
+        ] {
             let pool = WorkerPool::new(workers);
             let spec = TeamSpec::even(workers, teams);
             let got = IslandsExecutor::new(&pool, spec, Axis::I)
-                .cache_bytes(64 * 1024)
+                .cache_bytes(cache)
                 .step(&f)
                 .unwrap();
             assert_eq!(
                 got.max_abs_diff(&expect),
                 0.0,
-                "{workers} workers / {teams} islands diverged"
+                "{workers} workers / {teams} islands / cache {cache} diverged"
             );
         }
     }
@@ -278,31 +287,43 @@ mod tests {
     #[test]
     fn multi_step_matches_reference() {
         let d = Region3::of_extent(20, 10, 4);
-        let mut f1 = rotating_cone(d, 0.25);
-        let mut f2 = f1.clone();
+        let mut expect = rotating_cone(d, 0.25);
+        ReferenceExecutor::new().run(&mut expect, 3);
         let pool = WorkerPool::new(4);
-        IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
-            .cache_bytes(48 * 1024)
-            .run(&mut f1, 3)
-            .unwrap();
-        ReferenceExecutor::new().run(&mut f2, 3);
-        assert_eq!(f1.x.max_abs_diff(&f2.x), 0.0);
+        for teams in [2, 1] {
+            let mut f = rotating_cone(d, 0.25);
+            IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
+                .cache_bytes(48 * 1024)
+                .run(&mut f, 3)
+                .unwrap();
+            assert_eq!(f.x.max_abs_diff(&expect.x), 0.0, "{teams} islands");
+        }
     }
 
     #[test]
     fn single_island_equals_fused() {
+        // (3+1)D is one island spanning the pool: cache-sized blocks,
+        // a single whole-domain block and the Original preset must
+        // agree with each other and with the multi-island plan.
         let d = Region3::of_extent(16, 8, 4);
         let f = gaussian_pulse(d, (0.3, 0.0, 0.0));
         let pool = WorkerPool::new(4);
-        let islands = IslandsExecutor::new(&pool, TeamSpec::even(4, 1), Axis::I)
+        let islands = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
             .cache_bytes(64 * 1024)
             .step(&f)
             .unwrap();
-        let fused = crate::fused::FusedExecutor::new(&pool)
-            .cache_bytes(64 * 1024)
-            .step(&f)
+        let one_island = IslandsExecutor::new(&pool, TeamSpec::even(4, 1), Axis::I);
+        let blocking = BlockPlanner::new(crate::DEFAULT_CACHE_BYTES)
+            .plan(one_island.graph(), d, d)
             .unwrap();
+        assert_eq!(blocking.len(), 1, "the default budget holds the domain");
+        let single_block = one_island.step(&f).unwrap();
+        let fused = one_island.cache_bytes(64 * 1024).step(&f).unwrap();
+        let original = crate::OriginalExecutor::new(&pool).step(&f);
         assert_eq!(islands.max_abs_diff(&fused), 0.0);
+        assert_eq!(single_block.max_abs_diff(&fused), 0.0);
+        assert_eq!(original.max_abs_diff(&fused), 0.0);
+        assert_eq!(fused.max_abs_diff(&ReferenceExecutor::new().step(&f)), 0.0);
     }
 
     #[test]
@@ -345,17 +366,17 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(11);
         let f = random_fields(&mut rng, d, 0.7);
         let expect = ReferenceExecutor::new().step(&f);
-        for chunks in [1, 2, 4] {
+        for (teams, chunks) in [(2, 1), (2, 2), (2, 4), (1, 3)] {
             let pool = WorkerPool::new(4);
-            let got = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
+            let got = IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
                 .cache_bytes(64 * 1024)
-                .self_schedule(chunks)
+                .schedule(dynamic(chunks))
                 .step(&f)
                 .unwrap();
             assert_eq!(
                 got.max_abs_diff(&expect),
                 0.0,
-                "self_schedule({chunks}) diverged"
+                "{teams} islands, dynamic({chunks}) diverged"
             );
         }
     }
@@ -368,7 +389,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
             .cache_bytes(48 * 1024)
-            .self_schedule(3)
+            .schedule(dynamic(3))
             .run(&mut f1, 4)
             .unwrap();
         ReferenceExecutor::new().run(&mut f2, 4);
@@ -391,13 +412,21 @@ mod tests {
             widths.iter().any(|&w| w != widths[0]),
             "cuts unexpectedly uniform: {widths:?}"
         );
-        for dynamic in [false, true] {
+        for self_scheduled in [false, true] {
             let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 4), Axis::I)
                 .with_partition(parts.clone())
                 .cache_bytes(64 * 1024);
-            let exec = if dynamic { exec.self_schedule(2) } else { exec };
+            let exec = if self_scheduled {
+                exec.schedule(dynamic(2))
+            } else {
+                exec
+            };
             let got = exec.step(&f).unwrap();
-            assert_eq!(got.max_abs_diff(&expect), 0.0, "dynamic={dynamic} diverged");
+            assert_eq!(
+                got.max_abs_diff(&expect),
+                0.0,
+                "self_scheduled={self_scheduled} diverged"
+            );
         }
     }
 
@@ -427,15 +456,19 @@ mod tests {
         let d = Region3::of_extent(20, 10, 4);
         let mut expect = rotating_cone(d, 0.25);
         ReferenceExecutor::new().run(&mut expect, 8);
-        for k in [2, 3, 4] {
+        for (teams, k) in [(2, 2), (2, 3), (2, 4), (1, 2), (1, 3)] {
             let mut f = rotating_cone(d, 0.25);
             let pool = WorkerPool::new(4);
-            IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
+            IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
                 .cache_bytes(48 * 1024)
                 .fuse_steps(k)
                 .run(&mut f, 8)
                 .unwrap();
-            assert_eq!(f.x.max_abs_diff(&expect.x), 0.0, "fuse_steps({k}) diverged");
+            assert_eq!(
+                f.x.max_abs_diff(&expect.x),
+                0.0,
+                "{teams} islands, fuse_steps({k}) diverged"
+            );
         }
     }
 
@@ -484,7 +517,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
             .cache_bytes(48 * 1024)
-            .self_schedule(3)
+            .schedule(dynamic(3))
             .fuse_steps(2)
             .run(&mut f, 6)
             .unwrap();
@@ -536,27 +569,39 @@ mod tests {
         // regions come from the same backward requirement analysis as
         // blocks, and region shape never enters a cell's arithmetic.
         // Sweep 1-wide slivers, prime extents, tiles larger than the
-        // whole part, and the cache-driven auto sizer.
+        // whole part, and the cache-driven auto sizer — on two islands
+        // and on one island tiling the whole domain. Unlike the
+        // wavefront planner, the tile sizer degrades to 1×1 tiles on a
+        // tiny cache instead of erroring: halo recompute explodes but
+        // the result stays exact.
         let d = Region3::of_extent(23, 11, 5);
         let mut rng = Xoshiro256pp::seed_from_u64(23);
         let f = random_fields(&mut rng, d, 0.7);
         let expect = ReferenceExecutor::new().step(&f);
         let pool = WorkerPool::new(4);
-        let modes = [
-            TileMode::Fixed { ti: 1, tj: 1 },
-            TileMode::Fixed { ti: 1, tj: 64 },
-            TileMode::Fixed { ti: 64, tj: 1 },
-            TileMode::Fixed { ti: 3, tj: 5 },
-            TileMode::Fixed { ti: 64, tj: 64 },
-            TileMode::Auto,
+        let cases = [
+            (2, 64 * 1024, TileMode::Fixed { ti: 1, tj: 1 }),
+            (2, 64 * 1024, TileMode::Fixed { ti: 1, tj: 64 }),
+            (2, 64 * 1024, TileMode::Fixed { ti: 64, tj: 1 }),
+            (2, 64 * 1024, TileMode::Fixed { ti: 3, tj: 5 }),
+            (2, 64 * 1024, TileMode::Fixed { ti: 64, tj: 64 }),
+            (2, 64 * 1024, TileMode::Auto),
+            (1, 64 * 1024, TileMode::Fixed { ti: 4, tj: 4 }),
+            (1, 64 * 1024, TileMode::Fixed { ti: 1, tj: 7 }),
+            (1, 64 * 1024, TileMode::Auto),
+            (1, 1024, TileMode::Auto),
         ];
-        for mode in modes {
-            let got = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
-                .cache_bytes(64 * 1024)
+        for (teams, cache, mode) in cases {
+            let got = IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
+                .cache_bytes(cache)
                 .tile(mode)
                 .step(&f)
                 .unwrap();
-            assert_eq!(got.max_abs_diff(&expect), 0.0, "{mode:?} diverged");
+            assert_eq!(
+                got.max_abs_diff(&expect),
+                0.0,
+                "{teams} islands, cache {cache}, {mode:?} diverged"
+            );
         }
     }
 
@@ -568,11 +613,11 @@ mod tests {
         let d = Region3::of_extent(20, 10, 4);
         let mut expect = rotating_cone(d, 0.25);
         ReferenceExecutor::new().run(&mut expect, 7);
-        for k in [2, 3] {
+        for (teams, k) in [(2, 2), (2, 3), (1, 2)] {
             for mode in [TileMode::Fixed { ti: 4, tj: 3 }, TileMode::Auto] {
                 let mut f = rotating_cone(d, 0.25);
                 let pool = WorkerPool::new(4);
-                IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
+                IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
                     .cache_bytes(48 * 1024)
                     .fuse_steps(k)
                     .tile(mode)
@@ -581,7 +626,7 @@ mod tests {
                 assert_eq!(
                     f.x.max_abs_diff(&expect.x),
                     0.0,
-                    "fuse_steps({k}) × {mode:?} diverged"
+                    "{teams} islands, fuse_steps({k}) × {mode:?} diverged"
                 );
             }
         }
@@ -599,14 +644,14 @@ mod tests {
             let pool = WorkerPool::new(4);
             let got = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
                 .cache_bytes(64 * 1024)
-                .self_schedule(chunks)
+                .schedule(dynamic(chunks))
                 .tile(TileMode::Fixed { ti: 5, tj: 4 })
                 .step(&f)
                 .unwrap();
             assert_eq!(
                 got.max_abs_diff(&expect),
                 0.0,
-                "self_schedule({chunks}) tiled diverged"
+                "dynamic({chunks}) tiled diverged"
             );
         }
     }
@@ -622,7 +667,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
             .cache_bytes(48 * 1024)
-            .self_schedule(2)
+            .schedule(dynamic(2))
             .fuse_steps(3)
             .tile(TileMode::Fixed { ti: 3, tj: 4 })
             .run(&mut f, 7)
@@ -647,7 +692,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "open boundaries")]
     fn tiled_periodic_boundaries_still_rejected() {
         // Tiling keeps the box-shaped requirement analysis, so the
         // periodic rejection contract is unchanged.

@@ -7,18 +7,26 @@
 //! by the islands-of-cores paper (Szustak, Wyrzykowski & Jakl,
 //! PaCT 2017).
 //!
-//! Four executors share the same kernels and the same declared stage
+//! Every executor shares the same kernels and the same declared stage
 //! graph, so their results are **bitwise identical** (asserted by the
-//! test suite):
+//! test suite). The threaded strategies of the paper are not separate
+//! executors but presets of one plan-replay engine, which builds each
+//! step's block/stage/rank tables once and replays them:
 //!
 //! * [`ReferenceExecutor`] — serial, full-size intermediates.
-//! * [`OriginalExecutor`] — the paper's "Original": per-stage parallel
-//!   sweeps with intermediates in main memory.
-//! * [`FusedExecutor`] — the pure (3+1)D decomposition: cache-sized
+//! * [`IslandsExecutor`] — the engine, and the paper's contribution:
+//!   one island (work team) per processor, each running (3+1)D on its
+//!   part and *recomputing* halo elements instead of communicating
+//!   within a time step. Its settings are one [`PlanConfig`] (cache
+//!   budget, split axis, schedule, step fusion, tiling).
+//! * the pure (3+1)D decomposition — `IslandsExecutor` with a single
+//!   island spanning the pool (`TeamSpec::even(n, 1)`): cache-sized
 //!   blocks, all 17 stages fused per block, all cores share each block.
-//! * [`IslandsExecutor`] — the contribution: one island (work team) per
-//!   processor, each running (3+1)D on its part and *recomputing* halo
-//!   elements instead of communicating within a time step.
+//! * [`OriginalExecutor`] — the paper's "Original": a preset with one
+//!   team and one whole-domain block, so every stage is a parallel
+//!   sweep with intermediates in main memory.
+//! * [`ExchangeExecutor`] — islands that exchange halos between steps
+//!   instead of recomputing them (its own executor, not yet a preset).
 //!
 //! ## Quickstart
 //!
@@ -40,7 +48,6 @@ mod diagnostics;
 mod exchange;
 mod exec;
 mod fields;
-mod fused;
 mod graph;
 mod islands;
 mod kernels;
@@ -53,7 +60,6 @@ pub use diagnostics::{error_norms, CflViolation, ErrorNorms};
 pub use exchange::ExchangeExecutor;
 pub use exec::rank_slice;
 pub use fields::{gaussian_pulse, random_fields, rotating_cone, MpdataFields, EPS};
-pub use fused::{FusedExecutor, DEFAULT_CACHE_BYTES};
 pub use graph::{
     flops_per_cell, mpdata_graph, ExternalIds, MpdataFieldIds, MpdataProblem, StageKind,
     STAGE_COUNT, STAGE_FLOPS, STANDARD_KINDS,
@@ -61,5 +67,5 @@ pub use graph::{
 pub use islands::IslandsExecutor;
 pub use kernels::{apply_kind, apply_kind_scalar, apply_stage, Boundary};
 pub use original::OriginalExecutor;
-pub use plan::{SchedulePolicy, TileMode};
+pub use plan::{PlanConfig, SchedulePolicy, TileMode, DEFAULT_CACHE_BYTES};
 pub use reference::ReferenceExecutor;

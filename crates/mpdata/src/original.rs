@@ -1,19 +1,24 @@
-//! The parallel "original version": stage-by-stage sweeps over the full
+//! The parallel "original version": every stage swept over the whole
 //! domain with full-size intermediates, the work of each stage split
 //! among *all* workers of the pool.
 //!
 //! This is the baseline the paper's Table 1/3 calls *Original*: simple,
 //! memory-traffic-heavy (every intermediate round-trips through main
 //! memory) but, with parallel first-touch initialization, reasonably
-//! scalable on NUMA machines.
+//! scalable on NUMA machines. It is a preset of the plan-replay engine
+//! rather than a separate code path: one team spanning the pool and one
+//! whole-domain block (an unbounded cache budget), each stage split
+//! along `I`. The team barrier between stages is the inter-stage
+//! synchronization; the scratch arrays persist across steps.
 
-use crate::exec::{rank_slice, ExtFields, ParStore};
 use crate::fields::MpdataFields;
 use crate::graph::MpdataProblem;
+use crate::islands::IslandsExecutor;
 use stencil_engine::{Array3, Axis};
-use work_scheduler::WorkerPool;
+use work_scheduler::{TeamSpec, WorkerPool};
 
-/// Parallel per-stage MPDATA executor.
+/// Parallel per-stage MPDATA executor. Unlike the cache-blocked
+/// configurations it also supports periodic boundaries.
 ///
 /// # Examples
 ///
@@ -31,10 +36,11 @@ use work_scheduler::WorkerPool;
 /// ```
 #[derive(Debug)]
 pub struct OriginalExecutor<'p> {
-    pool: &'p WorkerPool,
-    problem: MpdataProblem,
-    split_axis: Axis,
+    engine: IslandsExecutor<'p>,
 }
+
+/// A whole-domain block has no cache budget to exceed.
+const UNBOUNDED: &str = "a single whole-domain block fits an unbounded cache budget";
 
 impl<'p> OriginalExecutor<'p> {
     /// Creates the executor on `pool`, splitting each stage along the
@@ -45,54 +51,22 @@ impl<'p> OriginalExecutor<'p> {
 
     /// Creates the executor for an arbitrary MPDATA problem.
     pub fn with_problem(pool: &'p WorkerPool, problem: MpdataProblem) -> Self {
+        let team = TeamSpec::even(pool.len(), 1);
         OriginalExecutor {
-            pool,
-            problem,
-            split_axis: Axis::I,
+            engine: IslandsExecutor::with_problem(pool, team, Axis::I, problem)
+                .cache_bytes(usize::MAX)
+                .split_axis(Axis::I),
         }
-    }
-
-    /// Changes the axis along which each stage's sweep is split.
-    pub fn split_axis(mut self, axis: Axis) -> Self {
-        self.split_axis = axis;
-        self
     }
 
     /// Performs one time step and returns the advected scalar.
     pub fn step(&self, fields: &MpdataFields) -> Array3 {
-        let domain = fields.domain();
-        let graph = self.problem.graph();
-        let ext = ExtFields::new(fields);
-        let mut store = ParStore::new(graph.fields().len(), self.problem.ext());
-        for st in graph.stages() {
-            for &out in &st.outputs {
-                store.alloc(out, domain);
-            }
-        }
-        let workers = self.pool.len();
-        for st in graph.stages() {
-            // One broadcast per stage: the join is the inter-stage
-            // barrier.
-            self.pool.broadcast(|ctx| {
-                let mine = rank_slice(domain, self.split_axis, ctx.worker, workers);
-                store.apply(
-                    st,
-                    self.problem.kind(st.id),
-                    domain,
-                    self.problem.boundary(),
-                    mine,
-                    ext,
-                );
-            });
-        }
-        store.take(self.problem.xout())
+        self.engine.step(fields).expect(UNBOUNDED)
     }
 
     /// Advances `fields.x` by `steps` time steps.
     pub fn run(&self, fields: &mut MpdataFields, steps: usize) {
-        for _ in 0..steps {
-            fields.x = self.step(fields);
-        }
+        self.engine.run(fields, steps).expect(UNBOUNDED);
     }
 }
 
@@ -123,7 +97,10 @@ mod tests {
         let f = gaussian_pulse(d, (0.1, 0.2, 0.05));
         let expect = ReferenceExecutor::new().step(&f);
         let pool = WorkerPool::new(4);
-        let got = OriginalExecutor::new(&pool).split_axis(Axis::J).step(&f);
+        let exec = OriginalExecutor {
+            engine: OriginalExecutor::new(&pool).engine.split_axis(Axis::J),
+        };
+        let got = exec.step(&f);
         assert_eq!(got.max_abs_diff(&expect), 0.0);
     }
 

@@ -1,16 +1,25 @@
 //! Persistent execution plans: plan once, replay every step.
 //!
-//! `IslandsExecutor::step` used to re-partition the domain, re-run the
-//! wavefront block planner per island, re-create (and zero-fill) every
-//! scratch store, and allocate a fresh full-domain output array on
-//! *every* time step. Once blocking amortizes memory traffic, that
-//! churn — plus per-stage dispatch — dominates the per-sweep cost. A
-//! [`StepPlan`] hoists all of it out of the loop:
+//! This module is the one execution engine behind every threaded
+//! strategy. [`crate::IslandsExecutor`] owns a cached [`StepPlan`] and
+//! replays it; the paper's strategies are configurations of it, not
+//! separate executors:
+//!
+//! * *islands* — one team per island, cache-sized wavefront blocks;
+//! * *(3+1)D* — a single team spanning the pool (`TeamSpec::even(n, 1)`),
+//!   cache-sized blocks;
+//! * *Original* ([`crate::OriginalExecutor`]) — a single team and a
+//!   single whole-domain block (`cache_bytes = usize::MAX`), split
+//!   along `I`.
+//!
+//! A [`StepPlan`] hoists everything but the kernels out of the step
+//! loop:
 //!
 //! * the partition, per-island blocking, stage→region tables and
-//!   work-unit slices are computed once and keyed by [`PlanKey`] — any
+//!   work-unit slices are computed once and keyed by [`PlanKey`] —
+//!   `(domain, partition, PlanConfig)`, compared with `==` — so any
 //!   change of domain, partition, cache budget, split axis, schedule
-//!   policy or fuse depth rebuilds the plan;
+//!   policy, fuse depth or tile mode rebuilds the plan;
 //! * the island [`ParStore`]s persist across steps. Instead of
 //!   re-zeroing whole scratches, the builder runs the same coverage
 //!   analysis as the `islands-analysis` `uncovered-read` rule and
@@ -19,6 +28,11 @@
 //! * `run` ping-pongs two persistent full-domain arrays (`cur`/`out`)
 //!   by pointer swap under the once-per-epoch global barrier, instead
 //!   of allocating `Array3::zeros(domain)` and copying back per step.
+//!
+//! Box-shaped stage regions cannot express periodic wrap reads, so the
+//! engine accepts [`Boundary::Periodic`] only for plans with one part,
+//! one block per step, no tiling and no step fusion: every stage then
+//! covers the whole domain, wrap reads included.
 //!
 //! # Temporal blocking (`fuse_steps = k`)
 //!
@@ -52,6 +66,7 @@ use crate::exec::{rank_slice, ExtFields, ParStore};
 use crate::graph::{MpdataProblem, StageKind};
 use crate::kernels::Boundary;
 use std::fmt;
+use std::sync::Arc;
 use stencil_engine::{
     choose_tile, tile_grid, Array3, Axis, BlockPlanner, FieldId, FieldRole, PlanBlocksError,
     Region3, StageDef, StageGraph,
@@ -119,16 +134,52 @@ pub enum TileMode {
     },
 }
 
+/// Default cache budget per block: the 16 MiB L3 of the paper's Xeon
+/// E5-4627v2.
+pub const DEFAULT_CACHE_BYTES: usize = 16 << 20;
+
+/// Everything about a plan except its domain and partition: the one
+/// configuration shared by the executor's plan builder and the
+/// `islands-analysis` schedule prover.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlanConfig {
+    /// Per-block cache budget. The wavefront block depth and the
+    /// [`TileMode::Auto`] tile extents follow from it; `usize::MAX`
+    /// makes every part a single block.
+    pub cache_bytes: usize,
+    /// Axis along which a team splits each stage sweep among its ranks.
+    pub split_axis: Axis,
+    /// How each epoch's work units are handed to the ranks.
+    pub schedule: SchedulePolicy,
+    /// Time steps fused into one replay epoch (1 = per-step global
+    /// synchronization; 0 is treated as 1).
+    pub fuse_steps: usize,
+    /// Cache-tiled stage fusion.
+    pub tile: TileMode,
+}
+
+impl Default for PlanConfig {
+    /// The library defaults: [`DEFAULT_CACHE_BYTES`], sweeps split
+    /// along `J`, static schedule, no fusion, no tiling.
+    fn default() -> Self {
+        PlanConfig {
+            cache_bytes: DEFAULT_CACHE_BYTES,
+            split_axis: Axis::J,
+            schedule: SchedulePolicy::Static,
+            fuse_steps: 1,
+            tile: TileMode::Off,
+        }
+    }
+}
+
 /// How the domain is divided among islands.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum PartitionKind {
     /// 1-D split along an axis (variant A = `I`, variant B = `J`).
     Axis(Axis),
     /// Explicit parts, one per team in order (e.g. 2-D island grids).
-    Explicit(Vec<Region3>),
-    /// The whole domain as a single part (the fused (3+1)D executor:
-    /// one team spanning every worker).
-    Whole,
+    /// Shared, so building a [`PlanKey`] per call never allocates.
+    Explicit(Arc<[Region3]>),
 }
 
 impl PartitionKind {
@@ -141,10 +192,6 @@ impl PartitionKind {
     pub(crate) fn parts(&self, domain: Region3, team_count: usize) -> Vec<Region3> {
         match self {
             PartitionKind::Axis(axis) => domain.split(*axis, team_count),
-            PartitionKind::Whole => {
-                assert_eq!(team_count, 1, "Whole partition is single-team");
-                vec![domain]
-            }
             PartitionKind::Explicit(parts) => {
                 assert_eq!(parts.len(), team_count, "one part per team required");
                 let covered: usize = parts.iter().map(|p| p.cells()).sum();
@@ -155,50 +202,21 @@ impl PartitionKind {
                         assert!(!a.overlaps(*b), "parts overlap");
                     }
                 }
-                parts.clone()
+                parts.to_vec()
             }
         }
     }
 }
 
 /// Everything a cached [`StepPlan`] depends on. A `step`/`run` call
-/// whose inputs no longer match the cached key rebuilds the plan; the
-/// comparison itself ([`PlanKey::matches`]) is allocation-free so cache
-/// hits cost a few field compares.
+/// whose key differs from the cached one rebuilds the plan; building
+/// and comparing a key allocates nothing, so cache hits cost a few
+/// field compares.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct PlanKey {
-    domain: Region3,
-    partition: PartitionKind,
-    cache_bytes: usize,
-    split_axis: Axis,
-    schedule: SchedulePolicy,
-    /// Fused time steps per replay epoch (≥ 1; 1 = classic per-step
-    /// synchronization). Keyed so flipping `--fuse-steps` replans.
-    fuse_steps: usize,
-    /// Tile-fused replay mode. Keyed so flipping `--tile` replans.
-    tile: TileMode,
-}
-
-impl PlanKey {
-    #[allow(clippy::too_many_arguments)]
-    fn matches(
-        &self,
-        domain: Region3,
-        partition: &PartitionKind,
-        cache_bytes: usize,
-        split_axis: Axis,
-        schedule: SchedulePolicy,
-        fuse_steps: usize,
-        tile: TileMode,
-    ) -> bool {
-        self.domain == domain
-            && self.cache_bytes == cache_bytes
-            && self.split_axis == split_axis
-            && self.schedule == schedule
-            && self.fuse_steps == fuse_steps.max(1)
-            && self.tile == tile
-            && &self.partition == partition
-    }
+    pub(crate) domain: Region3,
+    pub(crate) partition: PartitionKind,
+    pub(crate) config: PlanConfig,
 }
 
 /// One barrier-fenced unit of a team's replay: one stage of one block,
@@ -519,7 +537,7 @@ impl StepPlan {
         key: PlanKey,
     ) -> Result<Self, PlanBlocksError> {
         let domain = key.domain;
-        let k = key.fuse_steps.max(1);
+        let k = key.config.fuse_steps.max(1);
         let parts = key.partition.parts(domain, spec.team_count());
         let graph = problem.graph();
         let xout = problem.xout();
@@ -536,9 +554,9 @@ impl StepPlan {
             .collect();
         // Tile extents for tiled plans (`Fixed` is clamped to ≥ 1, so a
         // degenerate request still partitions the target).
-        let tile_extents = match key.tile {
+        let tile_extents = match key.config.tile {
             TileMode::Off => None,
-            TileMode::Auto => Some(choose_tile(graph, domain, key.cache_bytes)),
+            TileMode::Auto => Some(choose_tile(graph, domain, key.config.cache_bytes)),
             TileMode::Fixed { ti, tj } => Some((ti.max(1), tj.max(1))),
         };
         // Per-stage regions a zero-overlap schedule would compute —
@@ -587,7 +605,7 @@ impl StepPlan {
                             }
                             tasks.push(task);
                         }
-                        if let SchedulePolicy::Dynamic { .. } = key.schedule {
+                        if let SchedulePolicy::Dynamic { .. } = key.config.schedule {
                             tile_queues.push(ChunkQueue::new(tasks.len()));
                         }
                         tiles.push(tasks);
@@ -620,8 +638,8 @@ impl StepPlan {
                     let mut blockings = Vec::with_capacity(k);
                     let mut hull = Region3::empty();
                     for &sp in &step_parts {
-                        let blocking =
-                            BlockPlanner::new(key.cache_bytes).plan_wavefront(graph, sp, domain)?;
+                        let blocking = BlockPlanner::new(key.config.cache_bytes)
+                            .plan_wavefront(graph, sp, domain)?;
                         hull = hull.hull(blocking.hull());
                         blockings.push(blocking);
                     }
@@ -634,7 +652,7 @@ impl StepPlan {
                             }
                         }
                     }
-                    let n_units = key.schedule.units_for(size);
+                    let n_units = key.config.schedule.units_for(size);
                     for (ts, blocking) in blockings.iter().enumerate() {
                         let start = epochs.len();
                         for (b, block) in blocking.blocks.iter().enumerate() {
@@ -647,7 +665,7 @@ impl StepPlan {
                                     out_gaps = subtract_all(out_gaps, region);
                                 }
                                 let units: Vec<Region3> = (0..n_units)
-                                    .map(|u| rank_slice(region, key.split_axis, u, n_units))
+                                    .map(|u| rank_slice(region, key.config.split_axis, u, n_units))
                                     .collect();
                                 let needed = part.intersect(base_regions[st.id.index()]);
                                 let units_extra = units
@@ -678,7 +696,7 @@ impl StepPlan {
                     for &(lo, hi) in &step_bounds {
                         must_zero.extend(uncovered_reads(graph, &epochs[lo..hi], hull, domain));
                     }
-                    if let SchedulePolicy::Dynamic { .. } = key.schedule {
+                    if let SchedulePolicy::Dynamic { .. } = key.config.schedule {
                         queues = epochs
                             .iter()
                             .map(|ep| ChunkQueue::new(ep.units.len()))
@@ -724,7 +742,7 @@ impl StepPlan {
     /// output for the last fused step, the step's team-private x slot
     /// otherwise.
     fn final_dest_for<'a>(&'a self, team: &'a TeamPlan, ts: usize) -> &'a DisjointCell<Array3> {
-        if ts + 1 == self.key.fuse_steps.max(1) {
+        if ts + 1 == self.key.config.fuse_steps.max(1) {
             &self.out
         } else {
             &team.xslots.as_ref().expect("fused plans allocate x slots")[ts % 2]
@@ -760,10 +778,10 @@ impl StepPlan {
         epoch_len: usize,
     ) {
         islands_trace::set_island_rank(ctx.team as u32, ctx.rank as u32);
-        if self.key.tile != TileMode::Off {
+        if self.key.config.tile != TileMode::Off {
             return self.replay_tiled(ctx, ext, domain, bc, graph, base_step, epoch_len);
         }
-        let k = self.key.fuse_steps.max(1);
+        let k = self.key.config.fuse_steps.max(1);
         debug_assert!((1..=k).contains(&epoch_len));
         let first_ts = k - epoch_len;
         let team = &self.teams[ctx.team];
@@ -810,7 +828,7 @@ impl StepPlan {
                 }
             };
             let (lo, hi) = team.step_bounds.get(ts).copied().unwrap_or((0, 0));
-            match self.key.schedule {
+            match self.key.config.schedule {
                 SchedulePolicy::Static => {
                     for ep in &team.epochs[lo..hi] {
                         let st = &graph.stages()[ep.stage];
@@ -861,7 +879,7 @@ impl StepPlan {
         base_step: u32,
         epoch_len: usize,
     ) {
-        let k = self.key.fuse_steps.max(1);
+        let k = self.key.config.fuse_steps.max(1);
         debug_assert!((1..=k).contains(&epoch_len));
         let first_ts = k - epoch_len;
         let team = &self.teams[ctx.team];
@@ -892,7 +910,7 @@ impl StepPlan {
             if !tasks.is_empty() {
                 let store = &rank_stores[ctx.rank];
                 let dest = self.final_dest_for(team, ts);
-                match self.key.schedule {
+                match self.key.config.schedule {
                     SchedulePolicy::Static => {
                         let mut n = ctx.rank;
                         while n < tasks.len() {
@@ -1024,6 +1042,16 @@ impl StepPlan {
         }
     }
 
+    /// One team sweeping the whole domain as a single untiled block per
+    /// step, unfused: every stage region is then the whole domain, so
+    /// periodic wrap reads land in cells the step computes too.
+    fn sweeps_whole_domain(&self) -> bool {
+        self.key.config.tile == TileMode::Off
+            && self.key.config.fuse_steps <= 1
+            && self.teams.len() == 1
+            && self.teams[0].epochs.len() == self.stage_kinds.len()
+    }
+
     /// Rewinds every dynamic epoch queue to full (one relaxed store
     /// per epoch; no-op for static plans). Callers must hold exclusive
     /// access or be in a barrier-fenced serial section.
@@ -1039,46 +1067,31 @@ impl StepPlan {
     }
 }
 
-/// Returns the cached plan when `(domain, partition, cache_bytes,
-/// split_axis, schedule, fuse_steps)` still match its key, else
-/// rebuilds it (dropping the stale plan first). A planning failure
-/// leaves the slot empty.
-#[allow(clippy::too_many_arguments)]
+/// Returns the cached plan when its key equals `key`, else rebuilds it
+/// (dropping the stale plan first). A planning failure leaves the slot
+/// empty.
+///
+/// # Panics
+///
+/// Panics when the problem has periodic boundaries and the built plan
+/// is not a single whole-domain sweep (see
+/// [`StepPlan::sweeps_whole_domain`]).
 fn ensure_plan<'s>(
     slot: &'s mut Option<StepPlan>,
     problem: &MpdataProblem,
     spec: &TeamSpec,
-    domain: Region3,
-    partition: &PartitionKind,
-    cache_bytes: usize,
-    split_axis: Axis,
-    schedule: SchedulePolicy,
-    fuse_steps: usize,
-    tile: TileMode,
+    key: PlanKey,
 ) -> Result<&'s mut StepPlan, PlanBlocksError> {
-    let hit = slot.as_ref().is_some_and(|p| {
-        p.key.matches(
-            domain,
-            partition,
-            cache_bytes,
-            split_axis,
-            schedule,
-            fuse_steps,
-            tile,
-        )
-    });
-    if !hit {
+    if slot.as_ref().is_none_or(|p| p.key != key) {
         *slot = None;
-        let key = PlanKey {
-            domain,
-            partition: partition.clone(),
-            cache_bytes,
-            split_axis,
-            schedule,
-            fuse_steps: fuse_steps.max(1),
-            tile,
-        };
-        *slot = Some(StepPlan::build(problem, spec, key)?);
+        let plan = StepPlan::build(problem, spec, key)?;
+        assert!(
+            problem.boundary() == Boundary::Open || plan.sweeps_whole_domain(),
+            "this plan requires open boundaries: periodic wrap dependencies cannot be \
+             expressed by box-shaped island, block or tile regions (only one team \
+             sweeping the whole domain as one untiled, unfused block supports them)"
+        );
+        *slot = Some(plan);
     }
     Ok(slot.as_mut().expect("just ensured"))
 }
@@ -1100,33 +1113,16 @@ fn zero_region_of(arr: &mut Array3, region: Region3) {
 /// `step` and `run` calls interleave freely. On a fused plan this
 /// replays the one-section tail (the unenlarged last fused step), so a
 /// single `step` stays bit-identical for every fuse depth.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_step(
     pool: &WorkerPool,
     spec: &TeamSpec,
     problem: &MpdataProblem,
     slot: &mut Option<StepPlan>,
-    partition: &PartitionKind,
-    cache_bytes: usize,
-    split_axis: Axis,
-    schedule: SchedulePolicy,
-    fuse_steps: usize,
-    tile: TileMode,
+    key: PlanKey,
     fields: &crate::fields::MpdataFields,
 ) -> Result<Array3, PlanBlocksError> {
-    let domain = fields.domain();
-    let plan = ensure_plan(
-        slot,
-        problem,
-        spec,
-        domain,
-        partition,
-        cache_bytes,
-        split_axis,
-        schedule,
-        fuse_steps,
-        tile,
-    )?;
+    let domain = key.domain;
+    let plan = ensure_plan(slot, problem, spec, key)?;
     // Rewind the self-scheduling queues before the dispatch sees them.
     plan.reset_queues();
     let mut result = Array3::zeros(domain);
@@ -1150,37 +1146,20 @@ pub(crate) fn plan_step(
 /// once-per-step global synchronization, now paid once per k steps,
 /// with zero heap allocations from the second step on (and none at all
 /// on a plan-cache hit, beyond the pool dispatch itself).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_run(
     pool: &WorkerPool,
     spec: &TeamSpec,
     problem: &MpdataProblem,
     slot: &mut Option<StepPlan>,
-    partition: &PartitionKind,
-    cache_bytes: usize,
-    split_axis: Axis,
-    schedule: SchedulePolicy,
-    fuse_steps: usize,
-    tile: TileMode,
+    key: PlanKey,
     fields: &mut crate::fields::MpdataFields,
     steps: usize,
 ) -> Result<(), PlanBlocksError> {
     if steps == 0 {
         return Ok(());
     }
-    let domain = fields.domain();
-    let plan = ensure_plan(
-        slot,
-        problem,
-        spec,
-        domain,
-        partition,
-        cache_bytes,
-        split_axis,
-        schedule,
-        fuse_steps,
-        tile,
-    )?;
+    let domain = key.domain;
+    let plan = ensure_plan(slot, problem, spec, key)?;
     plan.reset_queues();
     // Lend `fields.x` to the plan's current-input slot; the plan's old
     // buffer parks in `fields.x` until the swap back below.
@@ -1188,7 +1167,7 @@ pub(crate) fn plan_run(
     let (u1, u2, u3, h) = (&fields.u1, &fields.u2, &fields.u3, &fields.h);
     let graph = problem.graph();
     let bc = problem.boundary();
-    let k = fuse_steps.max(1);
+    let k = plan.key.config.fuse_steps.max(1);
     let plan: &StepPlan = plan;
     pool.run_teams(spec, |ctx| {
         let mut done = 0usize;

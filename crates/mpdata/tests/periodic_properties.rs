@@ -5,12 +5,12 @@
 //! (see `numerics_properties.rs`); `--features proptest` widens it.
 
 use mpdata::{
-    gaussian_pulse, random_fields, Boundary, MpdataFields, MpdataProblem, OriginalExecutor,
-    ReferenceExecutor,
+    gaussian_pulse, random_fields, Boundary, IslandsExecutor, MpdataFields, MpdataProblem,
+    OriginalExecutor, ReferenceExecutor,
 };
 use stencil_engine::rng::{Rng64, Xoshiro256pp};
-use stencil_engine::{Array3, Region3};
-use work_scheduler::WorkerPool;
+use stencil_engine::{Array3, Axis, BlockPlanner, Region3};
+use work_scheduler::{TeamSpec, WorkerPool};
 
 fn periodic_reference() -> ReferenceExecutor {
     ReferenceExecutor::with_problem(MpdataProblem::standard().with_boundary(Boundary::Periodic))
@@ -99,7 +99,8 @@ fn periodic_conservation_any_flow() {
 }
 
 /// The original (parallel, full-sweep) executor supports periodic
-/// boundaries and stays bitwise-equal to the reference.
+/// boundaries and stays bitwise-equal to the reference — as does any
+/// one-team, single-block configuration of the same engine.
 #[test]
 fn original_executor_periodic_matches_reference() {
     let d = Region3::of_extent(12, 8, 4);
@@ -110,19 +111,41 @@ fn original_executor_periodic_matches_reference() {
     let pool = WorkerPool::new(4);
     let got = OriginalExecutor::with_problem(&pool, problem()).step(&f);
     assert_eq!(got.max_abs_diff(&expect), 0.0);
+
+    // One team, one whole-domain block, split along the default `J`.
+    let single_block =
+        IslandsExecutor::with_problem(&pool, TeamSpec::even(4, 1), Axis::I, problem())
+            .cache_bytes(usize::MAX);
+    assert_eq!(single_block.step(&f).unwrap().max_abs_diff(&expect), 0.0);
+    let mut g = f.clone();
+    let mut r = f.clone();
+    single_block.run(&mut g, 3).unwrap();
+    ReferenceExecutor::with_problem(problem()).run(&mut r, 3);
+    assert_eq!(g.x.max_abs_diff(&r.x), 0.0);
 }
 
-/// The cache-blocked executors refuse periodic problems loudly instead
-/// of computing garbage.
+/// The cache-blocked configurations refuse periodic problems loudly
+/// instead of computing garbage.
 #[test]
 #[should_panic(expected = "open boundaries")]
 fn fused_rejects_periodic() {
     let d = Region3::of_extent(12, 8, 4);
     let f = gaussian_pulse(d, (0.2, 0.0, 0.0));
     let pool = WorkerPool::new(2);
-    let _ = mpdata::FusedExecutor::with_problem(
-        &pool,
-        MpdataProblem::standard().with_boundary(Boundary::Periodic),
-    )
-    .step(&f);
+    let problem = MpdataProblem::standard().with_boundary(Boundary::Periodic);
+    // A budget that forces several blocks: a single block would be a
+    // whole-domain sweep, which handles periodic wraps exactly.
+    const CACHE: usize = 16 * 1024;
+    let blocks = BlockPlanner::new(CACHE)
+        .plan_wavefront(problem.graph(), d, d)
+        .expect("the budget fits a block")
+        .blocks
+        .len();
+    assert!(
+        blocks >= 2,
+        "{blocks} block(s): the budget must split the domain"
+    );
+    let _ = IslandsExecutor::with_problem(&pool, TeamSpec::even(2, 1), Axis::I, problem)
+        .cache_bytes(CACHE)
+        .step(&f);
 }

@@ -2,7 +2,7 @@
 //! not reused stale, not panic — whenever any input it was keyed on
 //! changes between `step`/`run` calls.
 
-use mpdata::{gaussian_pulse, FusedExecutor, IslandsExecutor, ReferenceExecutor};
+use mpdata::{gaussian_pulse, IslandsExecutor, ReferenceExecutor, SchedulePolicy};
 use stencil_engine::{Axis, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
@@ -41,13 +41,25 @@ fn cache_budget_change_replans() {
     let v = (0.25, 0.0, 0.0);
     let f = gaussian_pulse(domain, v);
     let expect = reference(domain, v);
-    let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I).cache_bytes(48 * 1024);
-    assert_eq!(exec.step(&f).unwrap().max_abs_diff(&expect), 0.0);
-    // The builder moves the executor — and its populated cache — with a
-    // different budget; the next step must replan (different blocking),
-    // still bit-identical.
-    let exec = exec.cache_bytes(192 * 1024);
-    assert_eq!(exec.step(&f).unwrap().max_abs_diff(&expect), 0.0);
+    for teams in [2, 1] {
+        let exec =
+            IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I).cache_bytes(48 * 1024);
+        assert_eq!(exec.step(&f).unwrap().max_abs_diff(&expect), 0.0);
+        // The builder moves the executor — and its populated cache —
+        // with a different budget; the next step must replan (different
+        // blocking), still bit-identical.
+        let exec = exec.cache_bytes(192 * 1024);
+        assert_eq!(exec.step(&f).unwrap().max_abs_diff(&expect), 0.0);
+        // A budget no block fits is an error, not a panic, and leaves
+        // no stale plan behind: the next fitting budget replans.
+        let exec = exec.cache_bytes(1024);
+        assert!(matches!(
+            exec.step(&f),
+            Err(stencil_engine::PlanBlocksError::CacheTooSmall { .. })
+        ));
+        let exec = exec.cache_bytes(48 * 1024);
+        assert_eq!(exec.step(&f).unwrap().max_abs_diff(&expect), 0.0);
+    }
 }
 
 #[test]
@@ -94,9 +106,9 @@ fn schedule_policy_change_replans() {
     let expect = reference(domain, v);
     let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I).cache_bytes(64 * 1024);
     assert_eq!(exec.step(&f).unwrap().max_abs_diff(&expect), 0.0);
-    let exec = exec.self_schedule(4);
+    let exec = exec.schedule(SchedulePolicy::Dynamic { chunks_per_rank: 4 });
     assert_eq!(exec.step(&f).unwrap().max_abs_diff(&expect), 0.0);
-    let exec = exec.schedule(mpdata::SchedulePolicy::Static);
+    let exec = exec.schedule(SchedulePolicy::Static);
     assert_eq!(exec.step(&f).unwrap().max_abs_diff(&expect), 0.0);
 }
 
@@ -178,7 +190,7 @@ fn step_and_run_interleave_on_one_cache() {
 fn fused_cache_invalidation_matches_reference() {
     let pool = WorkerPool::new(3);
     let v = (0.15, 0.1, 0.0);
-    let exec = FusedExecutor::new(&pool).cache_bytes(64 * 1024);
+    let exec = IslandsExecutor::new(&pool, TeamSpec::even(3, 1), Axis::I).cache_bytes(64 * 1024);
     for domain in [Region3::of_extent(20, 8, 4), Region3::of_extent(8, 20, 4)] {
         let f = gaussian_pulse(domain, v);
         assert_eq!(

@@ -1,5 +1,6 @@
 //! Zero-allocation steady state: after the first step has built the
-//! execution plan, every further step of [`IslandsExecutor::run`] must
+//! execution plan, every further step of [`IslandsExecutor::run`] — and
+//! of [`OriginalExecutor::run`], a preset of the same engine — must
 //! replay it without touching the heap.
 //!
 //! The pin works by installing a counting [`GlobalAlloc`] wrapper for
@@ -12,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mpdata::{gaussian_pulse, IslandsExecutor, TileMode};
+use mpdata::{gaussian_pulse, IslandsExecutor, OriginalExecutor, SchedulePolicy, TileMode};
 use stencil_engine::{Axis, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
@@ -110,7 +111,7 @@ fn steady_state_steps_do_not_allocate() {
     // either.
     let dyn_exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
         .cache_bytes(64 * 1024)
-        .self_schedule(2);
+        .schedule(SchedulePolicy::Dynamic { chunks_per_rank: 2 });
     let before = allocs();
     dyn_exec.run(&mut fields, 1).unwrap();
     let dyn_cold = allocs() - before;
@@ -196,6 +197,32 @@ fn steady_state_steps_do_not_allocate() {
     );
     #[cfg(debug_assertions)]
     let _ = (tiled_one, tiled_many);
+
+    // Same pin for the Original preset: one team, one whole-domain
+    // block, every intermediate a persistent full-size scratch array.
+    let original = OriginalExecutor::new(&pool);
+    let before = allocs();
+    original.run(&mut fields, 1);
+    let orig_cold = allocs() - before;
+    assert!(orig_cold > 0, "cold original run should build its plan");
+    original.run(&mut fields, 2);
+
+    let before = allocs();
+    original.run(&mut fields, 1);
+    let orig_one = allocs() - before;
+
+    let before = allocs();
+    original.run(&mut fields, STEPS);
+    let orig_many = allocs() - before;
+
+    #[cfg(not(debug_assertions))]
+    assert!(
+        orig_many <= orig_one + 4,
+        "original steps 2..{STEPS} allocated: run({STEPS}) made {orig_many} \
+         allocations vs {orig_one} for run(1)"
+    );
+    #[cfg(debug_assertions)]
+    let _ = (orig_one, orig_many);
 
     // Same pin with the live telemetry plane running: a trace session
     // open AND the background collector attached. Ring slots are

@@ -369,13 +369,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction of `&str`).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash at once. Both are ASCII, so the run of
+                    // the (valid UTF-8, from `&str`) input ends on a
+                    // char boundary, and every byte is decoded once:
+                    // linear in the string's length.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -426,6 +431,26 @@ mod tests {
     fn empty_containers_parse() {
         assert_eq!(parse("[]").unwrap(), Json::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), Json::Object(vec![]));
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses_in_linear_time() {
+        // ~4 MiB of ASCII, multi-byte scalars and escapes in one string.
+        // A parser that re-validates the rest of the input per
+        // character needs hours for this; a linear one, milliseconds.
+        let unit = "ab\u{e9}\u{1f600}\\n\\\"";
+        let reps = (4 << 20) / unit.len();
+        let doc = format!("[\"{}\"]", unit.repeat(reps));
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = t0.elapsed();
+        let got = v.as_array().unwrap()[0].as_str().unwrap();
+        assert_eq!(got, "ab\u{e9}\u{1f600}\n\"".repeat(reps));
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            doc.len()
+        );
     }
 
     #[test]

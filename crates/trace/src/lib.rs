@@ -734,8 +734,13 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // ordering: SeqCst — same contract as `Session::finish`.
-        ENABLED.store(false, Ordering::SeqCst);
+        // A finished session already disabled recording and released
+        // the lock: another session may be recording by now, and
+        // clearing the flag here would silently stop it.
+        if self.guard.is_some() {
+            // ordering: SeqCst — same contract as `Session::finish`.
+            ENABLED.store(false, Ordering::SeqCst);
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 
 use crate::json::Json;
 use crate::{Drained, SpanKind, NO_ISLAND};
+use std::collections::HashMap;
 
 /// Phase totals for one island within one time step (or across a whole
 /// run when produced by [`RunMetrics::totals`]). All `*_ns` fields are
@@ -245,22 +246,22 @@ impl RunMetrics {
         // step exists because at least one non-dispatch event carries
         // its tag, so the bounds are always real, never a sentinel.
         let mut bounds: Vec<(u64, u64)> = Vec::new();
+        // Step tag → index into `steps`, so each event finds its step
+        // in O(1) instead of scanning every step seen so far.
+        let mut index: HashMap<u32, usize> = HashMap::new();
         for t in &drained.events {
             let ev = &t.ev;
             if ev.kind == SpanKind::Dispatch {
                 continue;
             }
-            let idx = match steps.iter().position(|s| s.step == ev.step) {
-                Some(i) => i,
-                None => {
-                    steps.push(StepMetrics {
-                        step: ev.step,
-                        ..StepMetrics::default()
-                    });
-                    bounds.push((u64::MAX, 0));
-                    steps.len() - 1
-                }
-            };
+            let idx = *index.entry(ev.step).or_insert_with(|| {
+                steps.push(StepMetrics {
+                    step: ev.step,
+                    ..StepMetrics::default()
+                });
+                bounds.push((u64::MAX, 0));
+                steps.len() - 1
+            });
             let (lo, hi) = &mut bounds[idx];
             *lo = (*lo).min(ev.start_ns);
             *hi = (*hi).max(ev.end_ns());

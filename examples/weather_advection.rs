@@ -11,7 +11,7 @@
 //! Run: `cargo run --release --example weather_advection`
 
 use islands_of_cores::mpdata::{
-    rotating_cone, FusedExecutor, IslandsExecutor, OriginalExecutor, ReferenceExecutor,
+    rotating_cone, IslandsExecutor, OriginalExecutor, ReferenceExecutor,
 };
 use islands_of_cores::scheduler::{TeamSpec, WorkerPool};
 use islands_of_cores::stencil::{Axis, Region3};
@@ -46,7 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut fused = base.clone();
     let t0 = Instant::now();
-    FusedExecutor::new(&pool)
+    // (3+1)D: the islands engine with one island spanning the pool.
+    IslandsExecutor::new(&pool, TeamSpec::even(4, 1), Axis::I)
         .cache_bytes(512 * 1024)
         .run(&mut fused, steps)?;
     let t_fused = t0.elapsed();
