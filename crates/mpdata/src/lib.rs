@@ -25,8 +25,9 @@
 //! * [`OriginalExecutor`] — the paper's "Original": a preset with one
 //!   team and one whole-domain block, so every stage is a parallel
 //!   sweep with intermediates in main memory.
-//! * [`ExchangeExecutor`] — islands that exchange halos between steps
-//!   instead of recomputing them (its own executor, not yet a preset).
+//! * [`ExchangeExecutor`] — islands that copy halos from their
+//!   neighbours after every stage instead of recomputing them (its own
+//!   executor, not yet a preset).
 //!
 //! ## Quickstart
 //!

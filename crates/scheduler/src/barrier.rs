@@ -533,10 +533,9 @@ mod tests {
         assert_eq!(spin_huge, 0);
         assert_eq!(yield_huge, 1);
         // Degenerate core counts clamp to one core (no division by
-        // zero): 4 workers on "no" cores is 4× oversubscription. The
-        // `.max(1)` mirrors the budget floor — under the model
-        // feature's collapsed YIELD_ROUNDS the quotient rounds to 0.
-        assert_eq!(spin_budget_for(4, 0), (0, (YIELD_ROUNDS / 4).max(1)));
+        // zero): 4 workers on "no" cores budget exactly like 4 workers
+        // on one core.
+        assert_eq!(spin_budget_for(4, 0), spin_budget_for(4, 1));
     }
 
     #[test]

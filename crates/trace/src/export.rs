@@ -14,6 +14,7 @@
 
 use crate::histogram::{bucket_ceil, HistogramSnapshot};
 use crate::json::{self, Json, NonFiniteError};
+use crate::metrics::{Fold, IslandMetrics, COUNTERS};
 use crate::registry::RegistrySnapshot;
 use std::fmt::Write as _;
 
@@ -85,91 +86,26 @@ fn push_quantiles(out: &mut String, base: &str, help: &str, h: &HistogramSnapsho
     }
 }
 
-/// One per-island counter column of the exposition: metric name, help
-/// text, and the snapshot accessor it samples.
-type IslandCounter = (
-    &'static str,
-    &'static str,
-    fn(&crate::registry::IslandSnapshot) -> u64,
-);
-
 /// Renders a registry snapshot as Prometheus text exposition format.
+///
+/// Every [`COUNTERS`] row becomes one family with an `island` label:
+/// [`Fold::Sum`] rows are counters `islands_{name}_total`, [`Fold::Max`]
+/// rows gauges `islands_{name}`.
 ///
 /// Returns [`NonFiniteError`] if a derived rate (cells/s, imbalance)
 /// is non-finite — the same strictness contract as the JSON path.
 pub fn prometheus(s: &RegistrySnapshot) -> Result<String, NonFiniteError> {
     let mut out = String::new();
-    let island_counters: [IslandCounter; 9] = [
-        (
-            "islands_kernel_ns_total",
-            "Kernel (stencil sweep) time per island, ns",
-            |i| i.kernel_ns,
-        ),
-        (
-            "islands_team_barrier_ns_total",
-            "Team-barrier wait time per island, ns",
-            |i| i.team_barrier_ns,
-        ),
-        (
-            "islands_global_barrier_ns_total",
-            "Global-barrier wait time per island, ns",
-            |i| i.global_barrier_ns,
-        ),
-        (
-            "islands_swap_ns_total",
-            "Serial swap time per island, ns",
-            |i| i.swap_ns,
-        ),
-        (
-            "islands_refill_ns_total",
-            "Plan refill time per island, ns",
-            |i| i.refill_ns,
-        ),
-        (
-            "islands_exchange_ns_total",
-            "Halo exchange time per island, ns",
-            |i| i.exchange_ns,
-        ),
-        (
-            "islands_computed_cells_total",
-            "Cells computed per island",
-            |i| i.computed_cells,
-        ),
-        (
-            "islands_redundant_cells_total",
-            "Redundant halo cells recomputed per island",
-            |i| i.redundant_cells,
-        ),
-        (
-            "islands_events_total",
-            "Trace spans folded per island",
-            |i| i.events,
-        ),
-    ];
-    for (name, help, get) in island_counters {
-        push_header(&mut out, name, help, "counter");
+    for c in COUNTERS {
+        let (name, kind) = match c.fold {
+            Fold::Sum => (format!("islands_{}_total", c.name), "counter"),
+            Fold::Max => (format!("islands_{}", c.name), "gauge"),
+        };
+        push_header(&mut out, &name, c.help, kind);
         for island in &s.islands {
-            push_u64(
-                &mut out,
-                name,
-                &format!("island=\"{}\"", island.island),
-                get(island),
-            );
+            let labels = format!("island=\"{}\"", island.island);
+            push_u64(&mut out, &name, &labels, c.get(island));
         }
-    }
-    push_header(
-        &mut out,
-        "islands_workers",
-        "Workers observed per island",
-        "gauge",
-    );
-    for island in &s.islands {
-        push_u64(
-            &mut out,
-            "islands_workers",
-            &format!("island=\"{}\"", island.island),
-            island.workers,
-        );
     }
     push_header(
         &mut out,
@@ -280,34 +216,7 @@ fn hist_json(h: &HistogramSnapshot) -> Json {
 
 /// Builds the JSON snapshot document for a registry snapshot.
 pub fn json_snapshot(s: &RegistrySnapshot) -> Json {
-    let islands = s
-        .islands
-        .iter()
-        .map(|i| {
-            Json::Object(vec![
-                ("island".into(), Json::Num(i.island as f64)),
-                ("workers".into(), Json::Num(i.workers as f64)),
-                ("kernel_ns".into(), Json::Num(i.kernel_ns as f64)),
-                (
-                    "team_barrier_ns".into(),
-                    Json::Num(i.team_barrier_ns as f64),
-                ),
-                (
-                    "global_barrier_ns".into(),
-                    Json::Num(i.global_barrier_ns as f64),
-                ),
-                ("swap_ns".into(), Json::Num(i.swap_ns as f64)),
-                ("refill_ns".into(), Json::Num(i.refill_ns as f64)),
-                ("exchange_ns".into(), Json::Num(i.exchange_ns as f64)),
-                ("computed_cells".into(), Json::Num(i.computed_cells as f64)),
-                (
-                    "redundant_cells".into(),
-                    Json::Num(i.redundant_cells as f64),
-                ),
-                ("events".into(), Json::Num(i.events as f64)),
-            ])
-        })
-        .collect();
+    let islands = s.islands.iter().map(IslandMetrics::to_json).collect();
     Json::Object(vec![
         ("current_step".into(), Json::Num(s.current_step as f64)),
         ("dropped_events".into(), Json::Num(s.dropped_events as f64)),
@@ -511,25 +420,62 @@ mod tests {
     fn populated_registry() -> MetricsRegistry {
         let r = MetricsRegistry::new(2);
         for (island, dur) in [(0u32, 120u64), (1, 80)] {
-            r.absorb(&TaggedEvent {
-                thread: island,
-                ev: Event {
-                    kind: SpanKind::Kernel,
-                    start_ns: 0,
-                    dur_ns: dur,
-                    aux: [100, 5, 0],
-                    island,
-                    rank: 0,
-                    step: 3,
-                    stage: 1,
-                    block: 0,
-                },
-            });
+            for (kind, aux) in [
+                (SpanKind::Kernel, [100, 5, 0]),
+                (SpanKind::TeamBarrier, [3, 2, 1]),
+            ] {
+                r.absorb(&TaggedEvent {
+                    thread: island,
+                    ev: Event {
+                        kind,
+                        start_ns: 0,
+                        dur_ns: dur,
+                        aux,
+                        island,
+                        rank: 0,
+                        step: 3,
+                        stage: 1,
+                        block: 0,
+                    },
+                });
+            }
         }
         r.step_ns.record(1000);
         r.step_ns.record(1200);
         r
     }
+
+    /// Per-island Prometheus families scrapers read (`bench-check
+    /// --scrape`, dashboards): their names are a compatibility contract.
+    const STABLE_ISLAND_FAMILIES: [&str; 10] = [
+        "islands_kernel_ns_total",
+        "islands_team_barrier_ns_total",
+        "islands_global_barrier_ns_total",
+        "islands_swap_ns_total",
+        "islands_refill_ns_total",
+        "islands_exchange_ns_total",
+        "islands_computed_cells_total",
+        "islands_redundant_cells_total",
+        "islands_events_total",
+        "islands_workers",
+    ];
+
+    /// Run-wide Prometheus families (histograms by base name).
+    const RUN_FAMILIES: [&str; 13] = [
+        "islands_current_step",
+        "islands_dropped_events_total",
+        "islands_drain_unpublished_total",
+        "islands_dispatch_ns_total",
+        "islands_events_folded_total",
+        "islands_cells_per_second",
+        "islands_imbalance_ratio",
+        "islands_step_duration_ns",
+        "islands_step_p50_ns",
+        "islands_step_p90_ns",
+        "islands_step_p99_ns",
+        "islands_kernel_span_ns",
+        "islands_barrier_span_ns",
+    ];
 
     #[test]
     fn prometheus_round_trips_through_the_validator() {
@@ -552,6 +498,44 @@ mod tests {
             .find(|s| s.name == "islands_step_duration_ns_bucket" && s.labels.contains("+Inf"))
             .unwrap();
         assert_eq!(inf.value, 2.0);
+
+        // Every table counter, for every island, with the table value.
+        let snap = r.snapshot();
+        for island in &snap.islands {
+            let labels = format!("island=\"{}\"", island.island);
+            for c in COUNTERS {
+                let name = match c.fold {
+                    Fold::Sum => format!("islands_{}_total", c.name),
+                    Fold::Max => format!("islands_{}", c.name),
+                };
+                let found: Vec<_> = samples
+                    .iter()
+                    .filter(|s| s.labels == labels && s.name == name)
+                    .collect();
+                assert_eq!(found.len(), 1, "{} for {labels}", c.name);
+                assert_eq!(found[0].value, c.get(island) as f64, "{}", c.name);
+            }
+        }
+        // The family set is exactly the stable one plus the barrier
+        // split (spin / yield / park).
+        let mut families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        families.sort_unstable();
+        let mut expected: Vec<&str> = STABLE_ISLAND_FAMILIES
+            .iter()
+            .chain(&RUN_FAMILIES)
+            .copied()
+            .chain([
+                "islands_spin_ns_total",
+                "islands_yield_ns_total",
+                "islands_park_ns_total",
+            ])
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(families, expected);
     }
 
     #[test]
@@ -559,14 +543,71 @@ mod tests {
         let r = populated_registry();
         let text = render_json_snapshot(&r.snapshot()).unwrap();
         let doc = json::parse(&text).unwrap();
-        assert_eq!(
-            doc.get("islands").and_then(|v| match v {
-                Json::Array(a) => Some(a.len()),
-                _ => None,
-            }),
-            Some(2)
-        );
+        let Some(Json::Array(islands)) = doc.get("islands") else {
+            panic!("islands array missing: {text}");
+        };
+        assert_eq!(islands.len(), 2);
         assert!(doc.get("cells_per_second").is_some());
+
+        let keys = |v: &Json| match v {
+            Json::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        let mut top = keys(&doc);
+        top.sort_unstable();
+        let mut expected_top = [
+            "barrier_span_ns",
+            "cells_per_second",
+            "current_step",
+            "dispatch_ns",
+            "dropped_events",
+            "elapsed_ns",
+            "events_folded",
+            "imbalance",
+            "islands",
+            "kernel_span_ns",
+            "step_ns",
+            "unpublished",
+        ];
+        expected_top.sort_unstable();
+        assert_eq!(top, expected_top);
+        for h in ["step_ns", "kernel_span_ns", "barrier_span_ns"] {
+            assert_eq!(
+                keys(doc.get(h).unwrap()),
+                ["count", "sum", "p50", "p90", "p99"]
+            );
+        }
+        // Per island: `island` plus every table counter, which is the
+        // stable key set plus spin / yield / park.
+        let snap = r.snapshot();
+        for (obj, island) in islands.iter().zip(&snap.islands) {
+            let mut ks = keys(obj);
+            let table: Vec<String> = std::iter::once("island")
+                .chain(COUNTERS.iter().map(|c| c.name))
+                .map(String::from)
+                .collect();
+            assert_eq!(ks, table);
+            for c in COUNTERS {
+                assert_eq!(obj.get(c.name), Some(&Json::Num(c.get(island) as f64)));
+            }
+            ks.retain(|k| !matches!(k.as_str(), "spin_ns" | "yield_ns" | "park_ns"));
+            ks.sort_unstable();
+            let mut stable = [
+                "island",
+                "workers",
+                "kernel_ns",
+                "team_barrier_ns",
+                "global_barrier_ns",
+                "swap_ns",
+                "refill_ns",
+                "exchange_ns",
+                "computed_cells",
+                "redundant_cells",
+                "events",
+            ];
+            stable.sort_unstable();
+            assert_eq!(ks, stable);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Aggregation of drained trace events into per-step, per-island
-//! phase metrics.
+//! phase metrics, and the per-island counter schema every view shares.
 //!
 //! This is the report the paper's Table 1 / Figs. 4–6 style analysis
 //! needs: for every time step and island, how much worker time went to
@@ -7,15 +7,22 @@
 //! yield / park), the serial buffer swap, and halo traffic — plus the
 //! computed and redundant cell counts that the static overlap analysis
 //! in `islands-core` predicts and `islands-analysis` cross-checks.
+//!
+//! `IslandMetrics::absorb` is the only place a span becomes
+//! per-island counters, and [`COUNTERS`] is the only list of them: the
+//! post-mortem [`RunMetrics`], the live
+//! [`MetricsRegistry`](crate::registry::MetricsRegistry) and both of
+//! its exposition formats fold, merge and print through those two.
 
 use crate::json::Json;
-use crate::{Drained, SpanKind, NO_ISLAND};
+use crate::{Drained, Event, SpanKind, NO_ISLAND};
 use std::collections::HashMap;
 
 /// Phase totals for one island within one time step (or across a whole
-/// run when produced by [`RunMetrics::totals`]). All `*_ns` fields are
-/// *summed worker time*: an island of 4 ranks each waiting 1 µs shows
-/// 4 µs of barrier time.
+/// run when produced by [`RunMetrics::totals`], or over a registry's
+/// lifetime in a live snapshot). All `*_ns` fields are *summed worker
+/// time*: an island of 4 ranks each waiting 1 µs shows 4 µs of barrier
+/// time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IslandMetrics {
     /// Island (team) index.
@@ -46,6 +53,73 @@ pub struct IslandMetrics {
     /// redundant halo recomputation the islands approach trades
     /// against communication.
     pub redundant_cells: u64,
+    /// Spans folded into this island.
+    pub events: u64,
+}
+
+/// How a per-island counter combines across spans, steps and scrapes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fold {
+    /// Monotone sum; exposed as the Prometheus counter
+    /// `islands_{name}_total`.
+    Sum,
+    /// Max-wins gauge; exposed as the Prometheus gauge `islands_{name}`.
+    Max,
+}
+
+/// One row of the per-island counter schema.
+#[derive(Clone, Copy, Debug)]
+pub struct Counter {
+    /// The [`IslandMetrics`] field, which is also the JSON key.
+    pub name: &'static str,
+    /// One-line description (the Prometheus `# HELP` text).
+    pub help: &'static str,
+    /// How two values of this counter combine.
+    pub fold: Fold,
+    get: fn(&IslandMetrics) -> u64,
+    set: fn(&mut IslandMetrics, u64),
+}
+
+impl Counter {
+    /// This counter's value in `m`.
+    pub fn get(&self, m: &IslandMetrics) -> u64 {
+        (self.get)(m)
+    }
+
+    /// Overwrites this counter's value in `m`.
+    pub(crate) fn set(&self, m: &mut IslandMetrics, v: u64) {
+        (self.set)(m, v)
+    }
+}
+
+macro_rules! counters {
+    ($($field:ident: $fold:ident, $help:literal;)*) => {
+        /// Every per-island counter of [`IslandMetrics`] (all fields
+        /// but `island`), in report order.
+        pub const COUNTERS: &[Counter] = &[$(Counter {
+            name: stringify!($field),
+            help: $help,
+            fold: Fold::$fold,
+            get: |m| u64::from(m.$field),
+            set: |m, v| m.$field = v as _,
+        }),*];
+    };
+}
+
+counters! {
+    workers: Max, "Workers observed per island";
+    kernel_ns: Sum, "Kernel (stencil sweep) time per island, ns";
+    team_barrier_ns: Sum, "Team-barrier wait time per island, ns";
+    global_barrier_ns: Sum, "Global-barrier wait time per island, ns";
+    spin_ns: Sum, "Barrier wait spent spinning per island, ns";
+    yield_ns: Sum, "Barrier wait spent yielding per island, ns";
+    park_ns: Sum, "Barrier wait spent parked per island, ns";
+    swap_ns: Sum, "Serial swap time per island, ns";
+    refill_ns: Sum, "Plan refill time per island, ns";
+    exchange_ns: Sum, "Halo exchange time per island, ns";
+    computed_cells: Sum, "Cells computed per island";
+    redundant_cells: Sum, "Redundant halo cells recomputed per island";
+    events: Sum, "Trace spans folded per island";
 }
 
 impl IslandMetrics {
@@ -59,45 +133,59 @@ impl IslandMetrics {
         self.kernel_ns + self.barrier_wait_ns() + self.swap_ns + self.refill_ns + self.exchange_ns
     }
 
-    fn absorb(&mut self, kind: SpanKind, dur_ns: u64, aux: [u64; 3]) {
-        match kind {
+    /// Folds one span of this island into the counters. Callers route
+    /// [`SpanKind::Dispatch`] (a caller-thread span) elsewhere.
+    pub(crate) fn absorb(&mut self, ev: &Event) {
+        self.events += 1;
+        self.workers = self.workers.max(ev.rank + 1);
+        let [a0, a1, a2] = ev.aux;
+        match ev.kind {
             SpanKind::Kernel => {
-                self.kernel_ns += dur_ns;
-                self.computed_cells += aux[0];
-                self.redundant_cells += aux[1];
+                self.kernel_ns += ev.dur_ns;
+                self.computed_cells += a0;
+                self.redundant_cells += a1;
             }
-            SpanKind::TeamBarrier => {
-                self.team_barrier_ns += dur_ns;
-                self.spin_ns += aux[0];
-                self.yield_ns += aux[1];
-                self.park_ns += aux[2];
+            SpanKind::TeamBarrier | SpanKind::GlobalBarrier => {
+                if ev.kind == SpanKind::TeamBarrier {
+                    self.team_barrier_ns += ev.dur_ns;
+                } else {
+                    self.global_barrier_ns += ev.dur_ns;
+                }
+                self.spin_ns += a0;
+                self.yield_ns += a1;
+                self.park_ns += a2;
             }
-            SpanKind::GlobalBarrier => {
-                self.global_barrier_ns += dur_ns;
-                self.spin_ns += aux[0];
-                self.yield_ns += aux[1];
-                self.park_ns += aux[2];
-            }
-            SpanKind::Swap => self.swap_ns += dur_ns,
-            SpanKind::Refill => self.refill_ns += dur_ns,
-            SpanKind::Exchange => self.exchange_ns += dur_ns,
+            SpanKind::Swap => self.swap_ns += ev.dur_ns,
+            SpanKind::Refill => self.refill_ns += ev.dur_ns,
+            SpanKind::Exchange => self.exchange_ns += ev.dur_ns,
             SpanKind::Dispatch => {}
         }
     }
 
+    /// Folds another island's counters into this one.
     fn merge(&mut self, other: &IslandMetrics) {
-        self.workers = self.workers.max(other.workers);
-        self.kernel_ns += other.kernel_ns;
-        self.team_barrier_ns += other.team_barrier_ns;
-        self.global_barrier_ns += other.global_barrier_ns;
-        self.spin_ns += other.spin_ns;
-        self.yield_ns += other.yield_ns;
-        self.park_ns += other.park_ns;
-        self.swap_ns += other.swap_ns;
-        self.refill_ns += other.refill_ns;
-        self.exchange_ns += other.exchange_ns;
-        self.computed_cells += other.computed_cells;
-        self.redundant_cells += other.redundant_cells;
+        for c in COUNTERS {
+            let (a, b) = (c.get(self), c.get(other));
+            c.set(self, if c.fold == Fold::Sum { a + b } else { a.max(b) });
+        }
+    }
+
+    /// `{"island": …, <every counter>}`; the island is `null` for the
+    /// [`NO_ISLAND`] bucket.
+    pub(crate) fn to_json(&self) -> Json {
+        let island = if self.island == NO_ISLAND {
+            Json::Null
+        } else {
+            Json::Num(f64::from(self.island))
+        };
+        let counters = COUNTERS
+            .iter()
+            .map(|c| (c.name.to_string(), Json::Num(c.get(self) as f64)));
+        Json::Object(
+            std::iter::once(("island".into(), island))
+                .chain(counters)
+                .collect(),
+        )
     }
 }
 
@@ -155,25 +243,24 @@ impl StepMetrics {
     /// in the run recorded nothing this step, which would deflate the
     /// worker denominator and inflate the fraction.
     pub fn accounted_fraction(&self) -> Option<f64> {
+        self.accounted_parts()
+            .map(|(accounted, capacity)| accounted / capacity)
+    }
+
+    /// The two sides of [`StepMetrics::accounted_fraction`]:
+    /// `(Σ accounted, wall × Σ workers)` over the real islands, or
+    /// `None` where the fraction is undefined.
+    fn accounted_parts(&self) -> Option<(f64, f64)> {
         if !self.silent_islands.is_empty() {
             return None;
         }
-        let workers: u64 = self
-            .islands
-            .iter()
-            .filter(|m| m.island != NO_ISLAND)
-            .map(|m| u64::from(m.workers))
-            .sum();
+        let real = || self.islands.iter().filter(|m| m.island != NO_ISLAND);
+        let workers: u64 = real().map(|m| u64::from(m.workers)).sum();
         if self.wall_ns == 0 || workers == 0 {
             return None;
         }
-        let accounted: u64 = self
-            .islands
-            .iter()
-            .filter(|m| m.island != NO_ISLAND)
-            .map(IslandMetrics::accounted_ns)
-            .sum();
-        Some(accounted as f64 / (self.wall_ns as f64 * workers as f64))
+        let accounted: u64 = real().map(IslandMetrics::accounted_ns).sum();
+        Some((accounted as f64, self.wall_ns as f64 * workers as f64))
     }
 }
 
@@ -276,8 +363,7 @@ impl RunMetrics {
                     step.islands.last_mut().expect("just pushed")
                 }
             };
-            island.workers = island.workers.max(ev.rank + 1);
-            island.absorb(ev.kind, ev.dur_ns, ev.aux);
+            island.absorb(ev);
         }
         // Every real island the run knows about: a step missing one of
         // these recorded *no* events for it — flagged explicitly so the
@@ -311,24 +397,10 @@ impl RunMetrics {
         let mut accounted = 0.0;
         let mut capacity = 0.0;
         let mut valid_steps = 0usize;
-        for s in &self.steps {
-            if s.accounted_fraction().is_none() {
-                continue;
-            }
+        for (a, c) in self.steps.iter().filter_map(StepMetrics::accounted_parts) {
             valid_steps += 1;
-            let workers: u64 = s
-                .islands
-                .iter()
-                .filter(|m| m.island != NO_ISLAND)
-                .map(|m| u64::from(m.workers))
-                .sum();
-            accounted += s
-                .islands
-                .iter()
-                .filter(|m| m.island != NO_ISLAND)
-                .map(IslandMetrics::accounted_ns)
-                .sum::<u64>() as f64;
-            capacity += s.wall_ns as f64 * workers as f64;
+            accounted += a;
+            capacity += c;
         }
         let suppressed_steps = self.steps.len() - valid_steps;
         AccountedSummary {
@@ -349,36 +421,8 @@ impl RunMetrics {
         fn num(v: u64) -> Json {
             Json::Num(v as f64)
         }
-        let islands = |ms: &[IslandMetrics]| {
-            Json::Array(
-                ms.iter()
-                    .map(|m| {
-                        Json::Object(vec![
-                            (
-                                "island".into(),
-                                if m.island == NO_ISLAND {
-                                    Json::Null
-                                } else {
-                                    num(u64::from(m.island))
-                                },
-                            ),
-                            ("workers".into(), num(u64::from(m.workers))),
-                            ("kernel_ns".into(), num(m.kernel_ns)),
-                            ("team_barrier_ns".into(), num(m.team_barrier_ns)),
-                            ("global_barrier_ns".into(), num(m.global_barrier_ns)),
-                            ("spin_ns".into(), num(m.spin_ns)),
-                            ("yield_ns".into(), num(m.yield_ns)),
-                            ("park_ns".into(), num(m.park_ns)),
-                            ("swap_ns".into(), num(m.swap_ns)),
-                            ("refill_ns".into(), num(m.refill_ns)),
-                            ("exchange_ns".into(), num(m.exchange_ns)),
-                            ("computed_cells".into(), num(m.computed_cells)),
-                            ("redundant_cells".into(), num(m.redundant_cells)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
+        let islands =
+            |ms: &[IslandMetrics]| Json::Array(ms.iter().map(IslandMetrics::to_json).collect());
         let steps = Json::Array(
             self.steps
                 .iter()
@@ -520,32 +564,35 @@ impl RunMetrics {
             ms(self.wall_ns()),
             self.dropped_events
         ));
-        out.push_str(
-            "island workers kernel_ms team_bar_ms glob_bar_ms  spin_ms yield_ms  park_ms  \
-             swap_ms refill_ms exch_ms      cells  redundant\n",
-        );
+        // One column per counter; `*_ns` counters print as `*_ms`.
+        let columns: Vec<(String, bool)> = COUNTERS
+            .iter()
+            .map(|c| match c.name.strip_suffix("_ns") {
+                Some(stem) => (format!("{stem}_ms"), true),
+                None => (c.name.to_string(), false),
+            })
+            .collect();
+        out.push_str("island");
+        for (head, _) in &columns {
+            out.push_str(&format!(" {head:>8}"));
+        }
+        out.push('\n');
         for m in self.totals() {
-            let island = if m.island == NO_ISLAND {
-                "  -".to_string()
+            if m.island == NO_ISLAND {
+                out.push_str("     -");
             } else {
-                format!("{:3}", m.island)
-            };
-            out.push_str(&format!(
-                "{island:>6} {:>7} {:>9.3} {:>11.3} {:>11.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} \
-                 {:>9.3} {:>7.3} {:>10} {:>10}\n",
-                m.workers,
-                ms(m.kernel_ns),
-                ms(m.team_barrier_ns),
-                ms(m.global_barrier_ns),
-                ms(m.spin_ns),
-                ms(m.yield_ns),
-                ms(m.park_ns),
-                ms(m.swap_ns),
-                ms(m.refill_ns),
-                ms(m.exchange_ns),
-                m.computed_cells,
-                m.redundant_cells,
-            ));
+                out.push_str(&format!("{:>6}", m.island));
+            }
+            for (c, (head, is_ns)) in COUNTERS.iter().zip(&columns) {
+                let w = head.len().max(8);
+                let v = c.get(&m);
+                if *is_ns {
+                    out.push_str(&format!(" {:>w$.3}", ms(v)));
+                } else {
+                    out.push_str(&format!(" {v:>w$}"));
+                }
+            }
+            out.push('\n');
         }
         let fractions: Vec<String> = self
             .steps

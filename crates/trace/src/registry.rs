@@ -16,6 +16,7 @@
 //! format promises.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::metrics::{Fold, IslandMetrics, COUNTERS};
 use crate::{now_ns, SpanKind, TaggedEvent, NO_ISLAND};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,7 +46,11 @@ impl PadCounter {
     /// Max-wins gauge update (used for `current_step` / worker counts).
     pub fn max(&self, v: u64) {
         // ordering: Relaxed — advisory gauge, same contract as `add`.
-        self.0.fetch_max(v, Ordering::Relaxed);
+        // The plain load skips the read-modify-write in the common
+        // case of a gauge that already covers `v`.
+        if v > self.0.load(Ordering::Relaxed) {
+            self.0.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -61,59 +66,9 @@ impl Default for PadCounter {
     }
 }
 
-/// Per-island counter block. One collector thread writes, scrapes
-/// read; the block is cacheline-aligned as a unit.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct IslandSlot {
-    /// Kernel (stencil sweep) time.
-    pub kernel_ns: PadCounter,
-    /// Team-barrier wait time.
-    pub team_barrier_ns: PadCounter,
-    /// Global-barrier wait time.
-    pub global_barrier_ns: PadCounter,
-    /// Serial swap time.
-    pub swap_ns: PadCounter,
-    /// Plan refill time.
-    pub refill_ns: PadCounter,
-    /// Halo exchange traffic time.
-    pub exchange_ns: PadCounter,
-    /// Cells computed (kernel `aux[0]`).
-    pub computed_cells: PadCounter,
-    /// Redundant halo cells recomputed (kernel `aux[1]`).
-    pub redundant_cells: PadCounter,
-    /// Gauge: highest rank seen + 1.
-    pub workers: PadCounter,
-    /// Spans folded into this island.
-    pub events: PadCounter,
-}
-
-/// Plain-value copy of one island's counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IslandSnapshot {
-    /// Island index.
-    pub island: u32,
-    /// See [`IslandSlot`] for field meanings.
-    pub kernel_ns: u64,
-    /// Team-barrier wait time.
-    pub team_barrier_ns: u64,
-    /// Global-barrier wait time.
-    pub global_barrier_ns: u64,
-    /// Serial swap time.
-    pub swap_ns: u64,
-    /// Plan refill time.
-    pub refill_ns: u64,
-    /// Halo exchange traffic time.
-    pub exchange_ns: u64,
-    /// Cells computed.
-    pub computed_cells: u64,
-    /// Redundant halo cells recomputed.
-    pub redundant_cells: u64,
-    /// Gauge: highest rank seen + 1.
-    pub workers: u64,
-    /// Spans folded into this island.
-    pub events: u64,
-}
+/// Per-island counter block: one [`PadCounter`] per [`COUNTERS`] row,
+/// in table order. One collector thread writes, scrapes read.
+type IslandSlot = [PadCounter; COUNTERS.len()];
 
 /// The registry: fixed per-island slots plus run-wide counters,
 /// gauges and histograms.
@@ -143,7 +98,7 @@ impl MetricsRegistry {
     pub fn new(max_islands: usize) -> MetricsRegistry {
         MetricsRegistry {
             islands: (0..max_islands.max(1))
-                .map(|_| IslandSlot::default())
+                .map(|_| std::array::from_fn(|_| PadCounter::new()))
                 .collect(),
             step_ns: Histogram::new(),
             kernel_span_ns: Histogram::new(),
@@ -163,40 +118,39 @@ impl MetricsRegistry {
     }
 
     /// Folds one drained span. Allocation-free and lock-free.
+    ///
+    /// The per-island counters come from `IslandMetrics::absorb` on
+    /// a stack delta, added slot by slot; only the live-only state —
+    /// the dispatch counter, the step gauge and the span histograms —
+    /// is handled here.
     pub fn absorb(&self, t: &TaggedEvent) {
         let ev = &t.ev;
         self.events_folded.add(1);
-        if ev.kind == SpanKind::Dispatch || ev.island == NO_ISLAND {
-            if ev.kind == SpanKind::Dispatch {
-                self.dispatch_ns.add(ev.dur_ns);
-            }
+        if ev.kind == SpanKind::Dispatch {
+            self.dispatch_ns.add(ev.dur_ns);
+            return;
+        }
+        if ev.island == NO_ISLAND {
             return;
         }
         self.current_step.max(ev.step as u64);
         let Some(slot) = self.islands.get(ev.island as usize) else {
             return;
         };
-        slot.events.add(1);
-        slot.workers.max(ev.rank as u64 + 1);
+        let mut delta = IslandMetrics::default();
+        delta.absorb(ev);
+        for (c, cell) in COUNTERS.iter().zip(slot) {
+            match c.fold {
+                Fold::Sum => cell.add(c.get(&delta)),
+                Fold::Max => cell.max(c.get(&delta)),
+            }
+        }
         match ev.kind {
-            SpanKind::Kernel => {
-                slot.kernel_ns.add(ev.dur_ns);
-                slot.computed_cells.add(ev.aux[0]);
-                slot.redundant_cells.add(ev.aux[1]);
-                self.kernel_span_ns.record(ev.dur_ns);
+            SpanKind::Kernel => self.kernel_span_ns.record(ev.dur_ns),
+            SpanKind::TeamBarrier | SpanKind::GlobalBarrier => {
+                self.barrier_span_ns.record(ev.dur_ns)
             }
-            SpanKind::TeamBarrier => {
-                slot.team_barrier_ns.add(ev.dur_ns);
-                self.barrier_span_ns.record(ev.dur_ns);
-            }
-            SpanKind::GlobalBarrier => {
-                slot.global_barrier_ns.add(ev.dur_ns);
-                self.barrier_span_ns.record(ev.dur_ns);
-            }
-            SpanKind::Swap => slot.swap_ns.add(ev.dur_ns),
-            SpanKind::Refill => slot.refill_ns.add(ev.dur_ns),
-            SpanKind::Exchange => slot.exchange_ns.add(ev.dur_ns),
-            SpanKind::Dispatch => unreachable!("handled above"),
+            _ => {}
         }
     }
 
@@ -220,24 +174,21 @@ impl MetricsRegistry {
 
     /// Plain-value copy of everything (scrape-side; allocates).
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let islands: Vec<IslandSnapshot> = self
+        let islands = self
             .islands
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.events.get() > 0)
-            .map(|(i, s)| IslandSnapshot {
-                island: i as u32,
-                kernel_ns: s.kernel_ns.get(),
-                team_barrier_ns: s.team_barrier_ns.get(),
-                global_barrier_ns: s.global_barrier_ns.get(),
-                swap_ns: s.swap_ns.get(),
-                refill_ns: s.refill_ns.get(),
-                exchange_ns: s.exchange_ns.get(),
-                computed_cells: s.computed_cells.get(),
-                redundant_cells: s.redundant_cells.get(),
-                workers: s.workers.get(),
-                events: s.events.get(),
+            .map(|(i, slot)| {
+                let mut m = IslandMetrics {
+                    island: i as u32,
+                    ..IslandMetrics::default()
+                };
+                for (c, cell) in COUNTERS.iter().zip(slot) {
+                    c.set(&mut m, cell.get());
+                }
+                m
             })
+            .filter(|m| m.events > 0)
             .collect();
         RegistrySnapshot {
             islands,
@@ -258,7 +209,7 @@ impl MetricsRegistry {
 #[derive(Clone, Debug)]
 pub struct RegistrySnapshot {
     /// Islands that have folded at least one span, by index.
-    pub islands: Vec<IslandSnapshot>,
+    pub islands: Vec<IslandMetrics>,
     /// Per-step wall-time distribution.
     pub step_ns: HistogramSnapshot,
     /// Kernel-span duration distribution.
@@ -356,6 +307,74 @@ mod tests {
         assert_eq!(s.events_folded, 4);
         assert_eq!(s.kernel_span_ns.count, 1);
         assert_eq!(s.barrier_span_ns.count, 1);
+    }
+
+    #[test]
+    fn live_and_post_mortem_folds_agree_per_island() {
+        // Every span kind, two islands over two steps, a caller-thread
+        // dispatch, and island 5 beyond a 2-slot registry.
+        let ev = |kind, island, rank, step, dur, aux| TaggedEvent {
+            thread: rank,
+            ev: Event {
+                kind,
+                start_ns: u64::from(step) * 1000,
+                dur_ns: dur,
+                aux,
+                island,
+                rank,
+                step,
+                stage: 0,
+                block: 0,
+            },
+        };
+        use SpanKind::*;
+        let mut events = Vec::new();
+        for step in 0..2 {
+            for island in [0, 1, 5] {
+                for rank in 0..=island.min(2) {
+                    let d = u64::from(10 * island + rank + step + 1);
+                    events.extend([
+                        ev(Refill, island, rank, step, d, [0; 3]),
+                        ev(Kernel, island, rank, step, 7 * d, [100 * d, d, 0]),
+                        ev(TeamBarrier, island, rank, step, 6 * d, [d, 2 * d, 3 * d]),
+                        ev(GlobalBarrier, island, rank, step, 3 * d, [2 * d, d, 0]),
+                        ev(Exchange, island, rank, step, 2 * d, [0; 3]),
+                    ]);
+                }
+                events.push(ev(Swap, island, 0, step, 4, [0; 3]));
+            }
+            events.push(ev(Dispatch, NO_ISLAND, 0, step, 50, [3, 0, 0]));
+        }
+        let drained = crate::Drained {
+            events: events.clone(),
+            dropped: 0,
+        };
+        let totals = crate::metrics::RunMetrics::aggregate(&drained).totals();
+        let r = MetricsRegistry::new(2);
+        for t in &events {
+            r.absorb(t);
+        }
+        let live = r.snapshot();
+
+        let in_range: Vec<_> = totals.iter().filter(|m| m.island < 2).collect();
+        assert_eq!(in_range.len(), 2);
+        assert_eq!(live.islands.len(), 2, "island 5 has no slot");
+        for (post, live) in in_range.into_iter().zip(&live.islands) {
+            for c in COUNTERS {
+                assert_eq!(
+                    c.get(post),
+                    c.get(live),
+                    "island {} counter {}",
+                    post.island,
+                    c.name
+                );
+            }
+            assert_eq!(post, live);
+            assert!(post.spin_ns > 0 && post.events > 0, "{post:?}");
+        }
+        assert!(totals.iter().any(|m| m.island == 5));
+        assert_eq!(live.events_folded, events.len() as u64);
+        assert_eq!(live.dispatch_ns, 100);
     }
 
     #[test]
