@@ -18,9 +18,11 @@
 //!   outputs ⇒ `undeclared-write`, `out-of-region-write`,
 //!   `missing-write`.
 //!
-//! Single-cell regions make attribution exact and keep the
-//! fast-path/scalar dispatch of [`mpdata::apply_kind`] all-or-nothing
-//! per cell, so both row kernels and scalar kernels are exercised.
+//! Single-cell regions make attribution exact. On open boundaries a
+//! single cell takes the row kernels' peeled path on a domain `k` face
+//! its kind reads past and their vector path everywhere else, so both
+//! are exercised, as are the scalar kernels through
+//! [`KernelPath::Scalar`].
 
 use crate::diag::{Diagnostic, DiagnosticCode};
 use mpdata::{apply_kind, apply_kind_scalar, Boundary, MpdataProblem, StageKind};
@@ -32,8 +34,8 @@ use stencil_engine::{trace, Array3, Offset3, Range1, Region3, StageGraph, Stenci
 /// Which kernel implementation the harness drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelPath {
-    /// [`mpdata::apply_kind`]: row fast paths where eligible, scalar
-    /// boundary shells elsewhere (the production dispatch).
+    /// [`mpdata::apply_kind`]: the row kernels on open boundaries, the
+    /// scalar kernels on periodic ones (the production dispatch).
     Dispatch,
     /// [`mpdata::apply_kind_scalar`]: the clamp-everything reference
     /// kernels, everywhere.

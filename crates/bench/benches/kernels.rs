@@ -84,41 +84,53 @@ fn bench_single_stage(h: &mut Harness) {
     let _ = graph;
 }
 
+/// The row kernels (`apply_kind` → `dispatch`) against the scalar
+/// kernels (`apply_kind_scalar`) over a whole domain, boundary cells
+/// included: one group per kind, `FluxI` on constant fields, and the two
+/// kinds with the most operands — `MinMax` and `AntidiffI` — on
+/// non-constant fields.
 fn bench_fast_vs_scalar(h: &mut Harness) {
     use mpdata::{apply_kind, apply_kind_scalar, Boundary, StageKind};
     use stencil_engine::Array3;
     let domain = Region3::of_extent(64, 64, 64);
-    let x = Array3::filled(domain, 2.0);
-    let u = Array3::filled(domain, 0.3);
-    let mut group = h.group("flux_i_paths");
-    group.sample_size(40);
-    {
-        let mut f = Array3::zeros(domain);
-        group.bench("split_fast", || {
-            apply_kind(
-                StageKind::FluxI,
-                domain,
-                Boundary::Open,
-                &[&x, &u],
-                &mut [&mut f],
-                domain,
-            )
+    let wavy = |n: usize| {
+        Array3::from_fn(domain, |i, j, k| {
+            0.5 + 0.1 * n as f64 + 0.01 * ((i * 7 + j * 13 + k * 3 + n as i64) % 17) as f64
+        })
+    };
+    let cases: [(&str, StageKind, Vec<Array3>); 3] = [
+        (
+            "flux_i_paths",
+            StageKind::FluxI,
+            vec![Array3::filled(domain, 2.0), Array3::filled(domain, 0.3)],
+        ),
+        (
+            "minmax_paths",
+            StageKind::MinMax,
+            (0..2).map(wavy).collect(),
+        ),
+        (
+            "antidiff_i_paths",
+            StageKind::AntidiffI,
+            (0..5).map(wavy).collect(),
+        ),
+    ];
+    for (name, kind, inputs) in &cases {
+        let ins: Vec<&Array3> = inputs.iter().collect();
+        let n_out = if *kind == StageKind::MinMax { 2 } else { 1 };
+        let mut outs: Vec<Array3> = (0..n_out).map(|_| Array3::zeros(domain)).collect();
+        let mut group = h.group(name);
+        group.sample_size(40);
+        group.bench("dispatch", || {
+            let mut o: Vec<&mut Array3> = outs.iter_mut().collect();
+            apply_kind(*kind, domain, Boundary::Open, &ins, &mut o, domain)
         });
-    }
-    {
-        let mut f = Array3::zeros(domain);
         group.bench("scalar", || {
-            apply_kind_scalar(
-                StageKind::FluxI,
-                domain,
-                Boundary::Open,
-                &[&x, &u],
-                &mut [&mut f],
-                domain,
-            )
+            let mut o: Vec<&mut Array3> = outs.iter_mut().collect();
+            apply_kind_scalar(*kind, domain, Boundary::Open, &ins, &mut o, domain)
         });
+        group.finish();
     }
-    group.finish();
 }
 
 fn main() {

@@ -6,6 +6,15 @@
 //! perturbs inputs outside the declared pattern and asserts the output
 //! is unaffected.
 //!
+//! Every kind is written once, in two halves: an `*_ops` function that
+//! lists its operands (input and offset, in order) through a caller's
+//! reader, and an `#[inline(always)]` `*_cell` function of those
+//! operands. Two sweeps share both halves: the row kernels of
+//! [`crate::kernels_fast`] ([`apply_kind`] on open boundaries) read
+//! whole operand rows, and the scalar kernels of [`apply_kind_scalar`]
+//! read one boundary-resolved value at a time. The same operands reach
+//! the same expression, so the two agree bitwise by construction.
+//!
 //! Boundary handling: reads are clamped to the domain box (zero-gradient
 //! extension). Combined with [`crate::fields::MpdataFields::close_boundaries`]
 //! this makes the scheme exactly conservative in a closed box, and —
@@ -48,13 +57,6 @@ fn rd_bc(a: &Array3, d: Region3, bc: Boundary, i: i64, j: i64, k: i64) -> f64 {
     }
 }
 
-/// Donor-cell (upwind) flux through a face with Courant number `u`,
-/// upstream value `xl`, downstream value `xr`.
-#[inline(always)]
-fn donor(xl: f64, xr: f64, u: f64) -> f64 {
-    u.max(0.0) * xl + u.min(0.0) * xr
-}
-
 /// Applies a kernel of the given [`StageKind`] over `region`.
 ///
 /// `inputs` and `outputs` must follow the field order declared by the
@@ -72,152 +74,20 @@ pub fn apply_kind(
     outputs: &mut [&mut Array3],
     region: Region3,
 ) {
-    // Streaming kinds run a clamp-free row fast path wherever the
-    // stencil provably stays inside the domain; the remaining boundary
-    // shells fall back to the scalar kernels. Both paths evaluate the
-    // same expressions in the same order, so the split is invisible —
-    // bitwise — to callers.
-    if bc == Boundary::Open {
-        if let Some(safe) = fast_safe_domain(kind, domain) {
-            let fast = region.intersect(safe);
-            if !fast.is_empty() {
-                apply_fast(kind, inputs, outputs, fast);
-                region.subtract_each(fast, |shell| {
-                    apply_kind_scalar(kind, domain, bc, inputs, outputs, shell);
-                });
-                return;
-            }
-        }
-    }
-    apply_kind_scalar(kind, domain, bc, inputs, outputs, region);
-}
-
-/// The sub-box of `domain` on which `kind`'s reads need no boundary
-/// treatment, or `None` for kinds without a fast path.
-fn fast_safe_domain(kind: StageKind, domain: Region3) -> Option<Region3> {
-    use stencil_engine::{Axis, Range1};
-    let shrink_lo = |r: Range1| Range1::new(r.lo + 1, r.hi);
-    let shrink_hi = |r: Range1| Range1::new(r.lo, r.hi - 1);
-    let shrink_both = |r: Range1| Range1::new(r.lo + 1, r.hi - 1);
-    let d = domain;
-    match kind {
-        StageKind::FluxI | StageKind::LimFluxI => Some(d.with_range(Axis::I, shrink_lo(d.i))),
-        StageKind::FluxJ | StageKind::LimFluxJ => Some(d.with_range(Axis::J, shrink_lo(d.j))),
-        StageKind::FluxK | StageKind::LimFluxK => Some(d.with_range(Axis::K, shrink_lo(d.k))),
-        StageKind::Update | StageKind::BetaUp | StageKind::BetaDn => {
-            Some(Region3::new(shrink_hi(d.i), shrink_hi(d.j), shrink_hi(d.k)))
-        }
-        StageKind::AntidiffI => Some(Region3::new(
-            shrink_lo(d.i),
-            shrink_both(d.j),
-            shrink_both(d.k),
-        )),
-        StageKind::AntidiffJ => Some(Region3::new(
-            shrink_both(d.i),
-            shrink_lo(d.j),
-            shrink_both(d.k),
-        )),
-        StageKind::AntidiffK => Some(Region3::new(
-            shrink_both(d.i),
-            shrink_both(d.j),
-            shrink_lo(d.k),
-        )),
-        StageKind::MinMax => Some(Region3::new(
-            shrink_both(d.i),
-            shrink_both(d.j),
-            shrink_both(d.k),
-        )),
-    }
-}
-
-/// Dispatches to the row fast path (region must lie in the kind's safe
-/// domain).
-fn apply_fast(kind: StageKind, inputs: &[&Array3], outputs: &mut [&mut Array3], region: Region3) {
-    use crate::kernels_fast as fast;
-    match kind {
-        StageKind::FluxI => fast::flux_axis_rows(inputs[0], inputs[1], &mut *outputs[0], region, 0),
-        StageKind::FluxJ => fast::flux_axis_rows(inputs[0], inputs[1], &mut *outputs[0], region, 1),
-        StageKind::FluxK => fast::flux_axis_rows(inputs[0], inputs[1], &mut *outputs[0], region, 2),
-        StageKind::Update => fast::update_rows(
-            inputs[0],
-            inputs[1],
-            inputs[2],
-            inputs[3],
-            inputs[4],
-            &mut *outputs[0],
-            region,
-        ),
-        StageKind::LimFluxI => {
-            fast::lim_flux_rows(inputs[0], inputs[1], inputs[2], &mut *outputs[0], region, 0)
-        }
-        StageKind::LimFluxJ => {
-            fast::lim_flux_rows(inputs[0], inputs[1], inputs[2], &mut *outputs[0], region, 1)
-        }
-        StageKind::LimFluxK => {
-            fast::lim_flux_rows(inputs[0], inputs[1], inputs[2], &mut *outputs[0], region, 2)
-        }
-        StageKind::AntidiffI => fast::antidiff_rows(
-            inputs[0],
-            inputs[1],
-            inputs[2],
-            inputs[3],
-            inputs[4],
-            &mut *outputs[0],
-            region,
-            0,
-        ),
-        StageKind::AntidiffJ => fast::antidiff_rows(
-            inputs[0],
-            inputs[1],
-            inputs[2],
-            inputs[3],
-            inputs[4],
-            &mut *outputs[0],
-            region,
-            1,
-        ),
-        StageKind::AntidiffK => fast::antidiff_rows(
-            inputs[0],
-            inputs[1],
-            inputs[2],
-            inputs[3],
-            inputs[4],
-            &mut *outputs[0],
-            region,
-            2,
-        ),
-        StageKind::MinMax => {
-            let (mx, rest) = outputs.split_first_mut().expect("two outputs");
-            fast::minmax_rows(inputs[0], inputs[1], mx, &mut *rest[0], region)
-        }
-        StageKind::BetaUp => fast::beta_rows(
-            inputs[0],
-            inputs[1],
-            inputs[2],
-            inputs[3],
-            inputs[4],
-            inputs[5],
-            &mut *outputs[0],
-            region,
-            true,
-        ),
-        StageKind::BetaDn => fast::beta_rows(
-            inputs[0],
-            inputs[1],
-            inputs[2],
-            inputs[3],
-            inputs[4],
-            inputs[5],
-            &mut *outputs[0],
-            region,
-            false,
-        ),
+    // Open boundaries run the row kernels over the whole region,
+    // boundary cells included: they clamp neighbour rows in `i`/`j` and
+    // peel the `k` end cells, so no cell takes the scalar kernels.
+    // Periodic wrap has no row kernel.
+    match bc {
+        Boundary::Open => crate::kernels_fast::apply_rows(kind, domain, inputs, outputs, region),
+        Boundary::Periodic => apply_kind_scalar(kind, domain, bc, inputs, outputs, region),
     }
 }
 
 /// The clamp-everywhere scalar kernels — the reference implementation
-/// [`apply_kind`] is pinned against (bitwise). Exposed so downstream
-/// code and benchmarks can compare the two paths.
+/// [`apply_kind`] is pinned against (bitwise), and the only path for
+/// [`Boundary::Periodic`]. Exposed so downstream code and benchmarks
+/// can compare the two paths.
 ///
 /// # Panics
 ///
@@ -230,20 +100,72 @@ pub fn apply_kind_scalar(
     outputs: &mut [&mut Array3],
     region: Region3,
 ) {
+    use StageKind as S;
+    let (d, r) = (domain, region);
     match kind {
-        StageKind::FluxI => flux_axis(domain, bc, inputs, outputs, region, AxisDir::I),
-        StageKind::FluxJ => flux_axis(domain, bc, inputs, outputs, region, AxisDir::J),
-        StageKind::FluxK => flux_axis(domain, bc, inputs, outputs, region, AxisDir::K),
-        StageKind::Update => low_order(domain, bc, inputs, outputs, region),
-        StageKind::AntidiffI => antidiff(domain, bc, inputs, outputs, region, AxisDir::I),
-        StageKind::AntidiffJ => antidiff(domain, bc, inputs, outputs, region, AxisDir::J),
-        StageKind::AntidiffK => antidiff(domain, bc, inputs, outputs, region, AxisDir::K),
-        StageKind::MinMax => minmax(domain, bc, inputs, outputs, region),
-        StageKind::BetaUp => beta(domain, bc, inputs, outputs, region, Beta::Up),
-        StageKind::BetaDn => beta(domain, bc, inputs, outputs, region, Beta::Down),
-        StageKind::LimFluxI => lim_flux(domain, bc, inputs, outputs, region, AxisDir::I),
-        StageKind::LimFluxJ => lim_flux(domain, bc, inputs, outputs, region, AxisDir::J),
-        StageKind::LimFluxK => lim_flux(domain, bc, inputs, outputs, region, AxisDir::K),
+        S::FluxI | S::FluxJ | S::FluxK => {
+            let ins = take(inputs, "flux stage takes [scalar, velocity]");
+            let outs = take_mut(outputs, "flux stage writes one flux array");
+            let m = face(kind);
+            cells(d, bc, r, outs, |rd| [flux_cell(flux_ops(ins, m, rd))]);
+        }
+        S::Update => {
+            let ins = take(inputs, "update takes [x, f1, f2, f3, h]");
+            let outs = take_mut(outputs, "update writes [xp]");
+            cells(d, bc, r, outs, |rd| [update_cell(update_ops(ins, rd))]);
+        }
+        S::AntidiffI | S::AntidiffJ | S::AntidiffK => {
+            let ins = take(inputs, "antidiff takes [xp, u_a, u_b, u_c, h]");
+            let outs = take_mut(outputs, "antidiff writes [v]");
+            let axes = antidiff_axes(kind);
+            cells(d, bc, r, outs, |rd| {
+                [antidiff_cell(antidiff_ops(ins, axes, rd))]
+            });
+        }
+        S::MinMax => {
+            let ins = take(inputs, "minmax takes [x, xp]");
+            let outs = take_mut(outputs, "minmax writes [mx, mn]");
+            cells(d, bc, r, outs, |rd| minmax_cell(minmax_ops(ins, rd)));
+        }
+        S::BetaUp | S::BetaDn => {
+            let ins = take(inputs, "beta takes [extreme, xp, g1, g2, g3, h]");
+            let outs = take_mut(outputs, "beta writes one limiter array");
+            let up = kind == S::BetaUp;
+            cells(d, bc, r, outs, |rd| [beta_cell(up, beta_ops(ins, rd))]);
+        }
+        S::LimFluxI | S::LimFluxJ | S::LimFluxK => {
+            let ins = take(inputs, "lim_flux takes [g, bu, bd]");
+            let outs = take_mut(outputs, "lim_flux writes one flux array");
+            let m = face(kind);
+            cells(d, bc, r, outs, |rd| {
+                [lim_flux_cell(lim_flux_ops(ins, m, rd))]
+            });
+        }
+    }
+}
+
+/// The scalar sweep: every cell of `region` reads its operands one
+/// boundary-resolved value at a time.
+fn cells<const M: usize>(
+    domain: Region3,
+    bc: Boundary,
+    region: Region3,
+    outputs: &mut [&mut Array3; M],
+    cell: impl Fn(&CellRead) -> [f64; M],
+) {
+    for i in region.i.lo..region.i.hi {
+        for j in region.j.lo..region.j.hi {
+            for k in region.k.lo..region.k.hi {
+                let rd = CellRead {
+                    domain,
+                    bc,
+                    at: (i, j, k),
+                };
+                for (o, y) in outputs.iter_mut().zip(cell(&rd)) {
+                    o.set(i, j, k, y);
+                }
+            }
+        }
     }
 }
 
@@ -277,281 +199,332 @@ pub fn apply_stage(
     );
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AxisDir {
-    I,
-    J,
-    K,
+/// Offset `(di, dj, dk)` of an operand from the cell it feeds.
+pub(crate) type Off = (i64, i64, i64);
+
+/// How an `*_ops` list reads one operand: a boundary-resolved value
+/// (the scalar kernels) or a whole operand row (the row kernels).
+pub(crate) trait Read<'a> {
+    type Out;
+    fn rd(&self, a: &'a Array3, off: Off) -> Self::Out;
 }
 
-impl AxisDir {
-    /// Unit offset along the axis.
+/// The scalar kernels' reader: cell `(i, j, k)` through `rd_bc`.
+struct CellRead {
+    domain: Region3,
+    bc: Boundary,
+    at: (i64, i64, i64),
+}
+
+impl<'a> Read<'a> for CellRead {
+    type Out = f64;
     #[inline(always)]
-    fn d(self) -> (i64, i64, i64) {
-        match self {
-            AxisDir::I => (1, 0, 0),
-            AxisDir::J => (0, 1, 0),
-            AxisDir::K => (0, 0, 1),
-        }
+    fn rd(&self, a: &'a Array3, (di, dj, dk): Off) -> f64 {
+        let (i, j, k) = self.at;
+        rd_bc(a, self.domain, self.bc, i + di, j + dj, k + dk)
     }
 }
 
-/// Stages 1–3 and 9–11: donor-cell flux through the low face along one
-/// axis. `inputs = [scalar, velocity]`, `outputs = [flux]`. 5 flops.
-fn flux_axis(
-    domain: Region3,
-    bc: Boundary,
-    inputs: &[&Array3],
-    outputs: &mut [&mut Array3],
-    region: Region3,
-    axis: AxisDir,
-) {
-    assert_eq!(inputs.len(), 2, "flux stage takes [scalar, velocity]");
-    assert_eq!(outputs.len(), 1, "flux stage writes one flux array");
-    let (x, u) = (inputs[0], inputs[1]);
-    let f = &mut *outputs[0];
-    let (di, dj, dk) = axis.d();
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            for k in region.k.lo..region.k.hi {
-                let xl = rd_bc(x, domain, bc, i - di, j - dj, k - dk);
-                let xr = rd_bc(x, domain, bc, i, j, k);
-                let uu = rd_bc(u, domain, bc, i, j, k);
-                f.set(i, j, k, donor(xl, xr, uu));
-            }
-        }
+/// The kind's inputs as a fixed-size array.
+///
+/// # Panics
+///
+/// Panics with `what` if the count does not match.
+pub(crate) fn take<'a, const N: usize>(inputs: &[&'a Array3], what: &str) -> [&'a Array3; N] {
+    inputs.try_into().unwrap_or_else(|_| panic!("{what}"))
+}
+
+/// The kind's outputs as a fixed-size array.
+///
+/// # Panics
+///
+/// Panics with `what` if the count does not match.
+pub(crate) fn take_mut<'o, 'a, const N: usize>(
+    outputs: &'o mut [&'a mut Array3],
+    what: &str,
+) -> &'o mut [&'a mut Array3; N] {
+    outputs.try_into().unwrap_or_else(|_| panic!("{what}"))
+}
+
+const C: Off = (0, 0, 0);
+pub(crate) const I: Off = (1, 0, 0);
+pub(crate) const J: Off = (0, 1, 0);
+pub(crate) const K: Off = (0, 0, 1);
+
+#[inline(always)]
+fn neg(a: Off) -> Off {
+    (-a.0, -a.1, -a.2)
+}
+
+#[inline(always)]
+fn add(a: Off, b: Off) -> Off {
+    (a.0 + b.0, a.1 + b.1, a.2 + b.2)
+}
+
+/// Unit offset along the face axis of an axis-bound kind.
+pub(crate) fn face(kind: StageKind) -> Off {
+    use StageKind as S;
+    match kind {
+        S::FluxI | S::AntidiffI | S::LimFluxI => I,
+        S::FluxJ | S::AntidiffJ | S::LimFluxJ => J,
+        _ => K,
     }
 }
 
-/// Stage 4: first-order update ψ* = ψ − div(F)/h.
-/// `inputs = [x, f1, f2, f3, h]`, `outputs = [xp]`. 7 flops.
-fn low_order(
-    domain: Region3,
-    bc: Boundary,
-    inputs: &[&Array3],
-    outputs: &mut [&mut Array3],
-    region: Region3,
-) {
-    assert_eq!(inputs.len(), 5, "low_order takes [x, f1, f2, f3, h]");
-    assert_eq!(outputs.len(), 1);
-    let (x, f1, f2, f3, h) = (inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]);
-    let xp = &mut *outputs[0];
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            for k in region.k.lo..region.k.hi {
-                let div = (rd_bc(f1, domain, bc, i + 1, j, k) - rd_bc(f1, domain, bc, i, j, k))
-                    + (rd_bc(f2, domain, bc, i, j + 1, k) - rd_bc(f2, domain, bc, i, j, k))
-                    + (rd_bc(f3, domain, bc, i, j, k + 1) - rd_bc(f3, domain, bc, i, j, k));
-                let v = rd_bc(x, domain, bc, i, j, k) - div / rd_bc(h, domain, bc, i, j, k);
-                xp.set(i, j, k, v);
-            }
-        }
+/// Stages 1–3 and 9–11: donor-cell (upwind) flux through the low face
+/// along one axis, with Courant number `u`, upstream value `xl` and
+/// downstream value `xr`. 5 flops.
+#[inline(always)]
+fn donor(xl: f64, xr: f64, u: f64) -> f64 {
+    u.max(0.0) * xl + u.min(0.0) * xr
+}
+
+/// Operands of [`flux_cell`] along face axis `m`, for
+/// `inputs = [scalar, velocity]`: `[x(-m), x, u]`.
+#[inline(always)]
+pub(crate) fn flux_ops<'a, R>(
+    [x, u]: [&'a Array3; 2],
+    m: Off,
+    rd: &impl Read<'a, Out = R>,
+) -> [R; 3] {
+    [rd.rd(x, neg(m)), rd.rd(x, C), rd.rd(u, C)]
+}
+
+/// The donor-cell flux stage; `outputs = [flux]`.
+#[inline(always)]
+pub(crate) fn flux_cell([xl, xr, u]: [f64; 3]) -> f64 {
+    donor(xl, xr, u)
+}
+
+/// Operands of [`update_cell`], for `inputs = [x, f1, f2, f3, h]`:
+/// `[x, h, f1, f1(+i), f2, f2(+j), f3, f3(+k)]`.
+#[inline(always)]
+pub(crate) fn update_ops<'a, R>(
+    [x, f1, f2, f3, h]: [&'a Array3; 5],
+    rd: &impl Read<'a, Out = R>,
+) -> [R; 8] {
+    [
+        rd.rd(x, C),
+        rd.rd(h, C),
+        rd.rd(f1, C),
+        rd.rd(f1, I),
+        rd.rd(f2, C),
+        rd.rd(f2, J),
+        rd.rd(f3, C),
+        rd.rd(f3, K),
+    ]
+}
+
+/// Stage 4 (and 17): first-order update ψ* = ψ − div(F)/h;
+/// `outputs = [xp]`. 7 flops.
+#[inline(always)]
+pub(crate) fn update_cell([x, h, f1a, f1b, f2a, f2b, f3a, f3b]: [f64; 8]) -> f64 {
+    let div = (f1b - f1a) + (f2b - f2a) + (f3b - f3a);
+    x - div / h
+}
+
+/// The face axis `m` and the two cross axes `p`, `q` of an antidiff
+/// kind (b ↔ p, c ↔ q to match the graph's input ordering).
+pub(crate) fn antidiff_axes(kind: StageKind) -> [Off; 3] {
+    match face(kind) {
+        I => [I, J, K],
+        J => [J, I, K],
+        _ => [K, I, J],
     }
+}
+
+/// Operands of [`antidiff_cell`], for `inputs = [xp, u_axis, u_crossA,
+/// u_crossB, h]` and `[m, p, q]` from [`antidiff_axes`] (`cm` = the
+/// cell at `-m`): `xp` at `c`, `cm`, `c+p`, `cm+p`, `c-p`, `cm-p`,
+/// `c+q`, `cm+q`, `c-q`, `cm-q`; `u_axis` at `c`; `u_crossA` at `c`,
+/// `cm`, `c+p`, `cm+p`; `u_crossB` at `c`, `cm`, `c+q`, `cm+q`; `h` at
+/// `c`, `cm`.
+#[inline(always)]
+pub(crate) fn antidiff_ops<'a, R>(
+    [xp, ua, ub, uc, h]: [&'a Array3; 5],
+    [m, p, q]: [Off; 3],
+    rd: &impl Read<'a, Out = R>,
+) -> [R; 21] {
+    let b = neg(m);
+    [
+        rd.rd(xp, C),
+        rd.rd(xp, b),
+        rd.rd(xp, p),
+        rd.rd(xp, add(b, p)),
+        rd.rd(xp, neg(p)),
+        rd.rd(xp, add(b, neg(p))),
+        rd.rd(xp, q),
+        rd.rd(xp, add(b, q)),
+        rd.rd(xp, neg(q)),
+        rd.rd(xp, add(b, neg(q))),
+        rd.rd(ua, C),
+        rd.rd(ub, C),
+        rd.rd(ub, b),
+        rd.rd(ub, p),
+        rd.rd(ub, add(b, p)),
+        rd.rd(uc, C),
+        rd.rd(uc, b),
+        rd.rd(uc, q),
+        rd.rd(uc, add(b, q)),
+        rd.rd(h, C),
+        rd.rd(h, b),
+    ]
 }
 
 /// Stages 5–7: antidiffusive pseudo-velocity through the low face along
-/// `axis` (Smolarkiewicz's second-order correction with the two cross
-/// terms). `inputs = [xp, u_axis, u_crossA, u_crossB, h]`,
-/// `outputs = [v_axis]`. 36 flops.
-fn antidiff(
-    domain: Region3,
-    bc: Boundary,
-    inputs: &[&Array3],
-    outputs: &mut [&mut Array3],
-    region: Region3,
-    axis: AxisDir,
-) {
-    assert_eq!(inputs.len(), 5, "antidiff takes [xp, u_a, u_b, u_c, h]");
-    assert_eq!(outputs.len(), 1);
-    let (xp, ua, ub, uc, h) = (inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]);
-    let v = &mut *outputs[0];
-    // `m` = unit offset along the face axis; `p`, `q` = the two cross
-    // axes (b ↔ p, c ↔ q to match the graph's input ordering).
-    let (m, p, q) = match axis {
-        AxisDir::I => ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        AxisDir::J => ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
-        AxisDir::K => ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+/// `m` (Smolarkiewicz's second-order correction with the two cross
+/// terms); `outputs = [v_axis]`. 36 flops.
+#[inline(always)]
+pub(crate) fn antidiff_cell(
+    [xc, xm, xpp_c, xpp_m, xpm_c, xpm_m, xqp_c, xqp_m, xqm_c, xqm_m, u, ub_c, ub_m, ub_cp, ub_mp, uc_c, uc_m, uc_cq, uc_mq, h_c, h_m]: [f64;
+        21],
+) -> f64 {
+    let a = (xc - xm) / (xc + xm + EPS);
+    // Cross-derivative term along p.
+    let xpp = xpp_c + xpp_m;
+    let xpm = xpm_c + xpm_m;
+    let b_p = 0.5 * (xpp - xpm) / (xpp + xpm + EPS);
+    // Cross-derivative term along q.
+    let xqp = xqp_c + xqp_m;
+    let xqm = xqm_c + xqm_m;
+    let b_q = 0.5 * (xqp - xqm) / (xqp + xqm + EPS);
+    // Cross velocities averaged to this face.
+    let ub_bar = 0.25 * (ub_c + ub_m + ub_cp + ub_mp);
+    let uc_bar = 0.25 * (uc_c + uc_m + uc_cq + uc_mq);
+    let hbar = 0.5 * (h_c + h_m);
+    u.abs() * (1.0 - u.abs() / hbar) * a - u * (ub_bar * b_p + uc_bar * b_q) / hbar
+}
+
+/// Operands of [`minmax_cell`], for `inputs = [x, xp]`: `x` then `xp`
+/// at each offset of the 7-point neighbourhood (centre, −i, +i, −j,
+/// +j, −k, +k).
+#[inline(always)]
+pub(crate) fn minmax_ops<'a, R>([x, xp]: [&'a Array3; 2], rd: &impl Read<'a, Out = R>) -> [R; 14] {
+    let (mi, mj, mk) = (neg(I), neg(J), neg(K));
+    [
+        rd.rd(x, C),
+        rd.rd(xp, C),
+        rd.rd(x, mi),
+        rd.rd(xp, mi),
+        rd.rd(x, I),
+        rd.rd(xp, I),
+        rd.rd(x, mj),
+        rd.rd(xp, mj),
+        rd.rd(x, J),
+        rd.rd(xp, J),
+        rd.rd(x, mk),
+        rd.rd(xp, mk),
+        rd.rd(x, K),
+        rd.rd(xp, K),
+    ]
+}
+
+/// Stage 8: local extrema over ψ and ψ* (7-point neighbourhoods),
+/// folded in operand order; `outputs = [mx, mn]`. 26 flops.
+#[inline(always)]
+pub(crate) fn minmax_cell(v: [f64; 14]) -> [f64; 2] {
+    let (mut hi, mut lo) = (v[0], v[0]);
+    for a in &v[1..] {
+        hi = max_sel(hi, *a);
+        lo = min_sel(lo, *a);
+    }
+    [hi, lo]
+}
+
+/// Branch-free maximum, `if a > b { a } else { b }`: one `maxsd` /
+/// `maxpd`, where `f64::max` adds NaN fix-ups that keep [`minmax_cell`]
+/// from vectorizing.
+///
+/// Equal to `f64::max` on all ordered, non-zero-tie inputs. The edge
+/// cases are not symmetric, because a false comparison returns `b`:
+/// a NaN `b` is returned (propagates), a NaN `a` is dropped, and of
+/// `+0.0` and `-0.0` the second operand wins.
+#[inline(always)]
+fn max_sel(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Branch-free minimum, `if a < b { a } else { b }`: the mirror of
+/// [`max_sel`], with the same NaN and signed-zero behaviour (on a false
+/// comparison, `b` wins).
+#[inline(always)]
+fn min_sel(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Operands of [`beta_cell`], for `inputs = [extreme, xp, g1, g2, g3,
+/// h]`: `[extreme, xp, h, g1, g1(+i), g2, g2(+j), g3, g3(+k)]`.
+#[inline(always)]
+pub(crate) fn beta_ops<'a, R>(
+    [e, xp, g1, g2, g3, h]: [&'a Array3; 6],
+    rd: &impl Read<'a, Out = R>,
+) -> [R; 9] {
+    [
+        rd.rd(e, C),
+        rd.rd(xp, C),
+        rd.rd(h, C),
+        rd.rd(g1, C),
+        rd.rd(g1, I),
+        rd.rd(g2, C),
+        rd.rd(g2, J),
+        rd.rd(g3, C),
+        rd.rd(g3, K),
+    ]
+}
+
+/// Stages 12–13: the non-oscillatory β limiters, β↑ (`up`, extreme =
+/// `mx`) and β↓ (extreme = `mn`); `outputs = [bu|bd]`. 15 flops.
+#[inline(always)]
+pub(crate) fn beta_cell(up: bool, [e, x, h, g1a, g1b, g2a, g2b, g3a, g3b]: [f64; 9]) -> f64 {
+    let (num, den) = if up {
+        // Inflow: positive parts of low-face fluxes minus negative
+        // parts of high-face fluxes.
+        let inflow =
+            g1a.max(0.0) - g1b.min(0.0) + g2a.max(0.0) - g2b.min(0.0) + g3a.max(0.0) - g3b.min(0.0);
+        (e - x, inflow)
+    } else {
+        let outflow =
+            g1b.max(0.0) - g1a.min(0.0) + g2b.max(0.0) - g2a.min(0.0) + g3b.max(0.0) - g3a.min(0.0);
+        (x - e, outflow)
     };
-    let at = |a: &Array3, base: (i64, i64, i64), off: (i64, i64, i64), scale: i64| {
-        rd_bc(
-            a,
-            domain,
-            bc,
-            base.0 + scale * off.0,
-            base.1 + scale * off.1,
-            base.2 + scale * off.2,
-        )
-    };
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            for k in region.k.lo..region.k.hi {
-                let c = (i, j, k);
-                let cm = (i - m.0, j - m.1, k - m.2);
-                let xc = rd_bc(xp, domain, bc, c.0, c.1, c.2);
-                let xm = rd_bc(xp, domain, bc, cm.0, cm.1, cm.2);
-                let a = (xc - xm) / (xc + xm + EPS);
-                // Cross-derivative term along p.
-                let xpp = at(xp, c, p, 1) + at(xp, cm, p, 1);
-                let xpm = at(xp, c, p, -1) + at(xp, cm, p, -1);
-                let b_p = 0.5 * (xpp - xpm) / (xpp + xpm + EPS);
-                // Cross-derivative term along q.
-                let xqp = at(xp, c, q, 1) + at(xp, cm, q, 1);
-                let xqm = at(xp, c, q, -1) + at(xp, cm, q, -1);
-                let b_q = 0.5 * (xqp - xqm) / (xqp + xqm + EPS);
-                let u = rd_bc(ua, domain, bc, i, j, k);
-                // Cross velocities averaged to this face.
-                let ub_bar = 0.25
-                    * (rd_bc(ub, domain, bc, c.0, c.1, c.2)
-                        + rd_bc(ub, domain, bc, cm.0, cm.1, cm.2)
-                        + at(ub, c, p, 1)
-                        + at(ub, cm, p, 1));
-                let uc_bar = 0.25
-                    * (rd_bc(uc, domain, bc, c.0, c.1, c.2)
-                        + rd_bc(uc, domain, bc, cm.0, cm.1, cm.2)
-                        + at(uc, c, q, 1)
-                        + at(uc, cm, q, 1));
-                let hbar = 0.5
-                    * (rd_bc(h, domain, bc, c.0, c.1, c.2)
-                        + rd_bc(h, domain, bc, cm.0, cm.1, cm.2));
-                let val =
-                    u.abs() * (1.0 - u.abs() / hbar) * a - u * (ub_bar * b_p + uc_bar * b_q) / hbar;
-                v.set(i, j, k, val);
-            }
-        }
-    }
+    num * h / (den + EPS)
 }
 
-/// Stage 8: local extrema over ψ and ψ* (7-point neighbourhoods).
-/// `inputs = [x, xp]`, `outputs = [mx, mn]`. 26 flops.
-fn minmax(
-    domain: Region3,
-    bc: Boundary,
-    inputs: &[&Array3],
-    outputs: &mut [&mut Array3],
-    region: Region3,
-) {
-    assert_eq!(inputs.len(), 2, "minmax takes [x, xp]");
-    assert_eq!(outputs.len(), 2, "minmax writes [mx, mn]");
-    let (x, xp) = (inputs[0], inputs[1]);
-    let (mx_arr, rest) = outputs.split_first_mut().expect("two outputs");
-    let mn_arr = &mut *rest[0];
-    const OFFS: [(i64, i64, i64); 7] = [
-        (0, 0, 0),
-        (-1, 0, 0),
-        (1, 0, 0),
-        (0, -1, 0),
-        (0, 1, 0),
-        (0, 0, -1),
-        (0, 0, 1),
-    ];
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            for k in region.k.lo..region.k.hi {
-                let mut hi = f64::NEG_INFINITY;
-                let mut lo = f64::INFINITY;
-                for (di, dj, dk) in OFFS {
-                    let a = rd_bc(x, domain, bc, i + di, j + dj, k + dk);
-                    let b = rd_bc(xp, domain, bc, i + di, j + dj, k + dk);
-                    hi = hi.max(a).max(b);
-                    lo = lo.min(a).min(b);
-                }
-                mx_arr.set(i, j, k, hi);
-                mn_arr.set(i, j, k, lo);
-            }
-        }
-    }
+/// Operands of [`lim_flux_cell`] along face axis `m`, for
+/// `inputs = [g, bu, bd]`: `[g, bu(-m), bd(-m), bu, bd]`.
+#[inline(always)]
+pub(crate) fn lim_flux_ops<'a, R>(
+    [g, bu, bd]: [&'a Array3; 3],
+    m: Off,
+    rd: &impl Read<'a, Out = R>,
+) -> [R; 5] {
+    let b = neg(m);
+    [
+        rd.rd(g, C),
+        rd.rd(bu, b),
+        rd.rd(bd, b),
+        rd.rd(bu, C),
+        rd.rd(bd, C),
+    ]
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Beta {
-    Up,
-    Down,
-}
-
-/// Stages 12–13: the non-oscillatory β limiters.
-/// `inputs = [extreme(mx|mn), xp, g1, g2, g3, h]`, `outputs = [bu|bd]`.
-/// 15 flops.
-fn beta(
-    domain: Region3,
-    bc: Boundary,
-    inputs: &[&Array3],
-    outputs: &mut [&mut Array3],
-    region: Region3,
-    which: Beta,
-) {
-    assert_eq!(inputs.len(), 6, "beta takes [extreme, xp, g1, g2, g3, h]");
-    assert_eq!(outputs.len(), 1);
-    let (ext, xp, g1, g2, g3, h) = (
-        inputs[0], inputs[1], inputs[2], inputs[3], inputs[4], inputs[5],
-    );
-    let out = &mut *outputs[0];
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            for k in region.k.lo..region.k.hi {
-                let (num, den) = match which {
-                    Beta::Up => {
-                        // Inflow: positive parts of low-face fluxes minus
-                        // negative parts of high-face fluxes.
-                        let inflow = rd_bc(g1, domain, bc, i, j, k).max(0.0)
-                            - rd_bc(g1, domain, bc, i + 1, j, k).min(0.0)
-                            + rd_bc(g2, domain, bc, i, j, k).max(0.0)
-                            - rd_bc(g2, domain, bc, i, j + 1, k).min(0.0)
-                            + rd_bc(g3, domain, bc, i, j, k).max(0.0)
-                            - rd_bc(g3, domain, bc, i, j, k + 1).min(0.0);
-                        (
-                            rd_bc(ext, domain, bc, i, j, k) - rd_bc(xp, domain, bc, i, j, k),
-                            inflow,
-                        )
-                    }
-                    Beta::Down => {
-                        let outflow = rd_bc(g1, domain, bc, i + 1, j, k).max(0.0)
-                            - rd_bc(g1, domain, bc, i, j, k).min(0.0)
-                            + rd_bc(g2, domain, bc, i, j + 1, k).max(0.0)
-                            - rd_bc(g2, domain, bc, i, j, k).min(0.0)
-                            + rd_bc(g3, domain, bc, i, j, k + 1).max(0.0)
-                            - rd_bc(g3, domain, bc, i, j, k).min(0.0);
-                        (
-                            rd_bc(xp, domain, bc, i, j, k) - rd_bc(ext, domain, bc, i, j, k),
-                            outflow,
-                        )
-                    }
-                };
-                out.set(i, j, k, num * rd_bc(h, domain, bc, i, j, k) / (den + EPS));
-            }
-        }
-    }
-}
-
-/// Stages 14–16: monotone limiting of the pseudo flux along `axis`.
-/// `inputs = [g, bu, bd]`, `outputs = [f_limited]`. 9 flops.
-fn lim_flux(
-    domain: Region3,
-    bc: Boundary,
-    inputs: &[&Array3],
-    outputs: &mut [&mut Array3],
-    region: Region3,
-    axis: AxisDir,
-) {
-    assert_eq!(inputs.len(), 3, "lim_flux takes [g, bu, bd]");
-    assert_eq!(outputs.len(), 1);
-    let (g, bu, bd) = (inputs[0], inputs[1], inputs[2]);
-    let out = &mut *outputs[0];
-    let (di, dj, dk) = axis.d();
-    for i in region.i.lo..region.i.hi {
-        for j in region.j.lo..region.j.hi {
-            for k in region.k.lo..region.k.hi {
-                let gv = rd_bc(g, domain, bc, i, j, k);
-                // A positive flux leaves the low cell and enters this one.
-                let cp = 1.0_f64
-                    .min(rd_bc(bd, domain, bc, i - di, j - dj, k - dk))
-                    .min(rd_bc(bu, domain, bc, i, j, k));
-                let cn = 1.0_f64
-                    .min(rd_bc(bu, domain, bc, i - di, j - dj, k - dk))
-                    .min(rd_bc(bd, domain, bc, i, j, k));
-                out.set(i, j, k, cp * gv.max(0.0) + cn * gv.min(0.0));
-            }
-        }
-    }
+/// Stages 14–16: monotone limiting of the pseudo flux along one axis,
+/// `min(1, bd[-m], bu) · g⁺ + min(1, bu[-m], bd) · g⁻`;
+/// `outputs = [f_limited]`. 9 flops.
+#[inline(always)]
+pub(crate) fn lim_flux_cell([g, bu_m, bd_m, bu, bd]: [f64; 5]) -> f64 {
+    // A positive flux leaves the low cell and enters this one.
+    let cp = 1.0_f64.min(bd_m).min(bu);
+    let cn = 1.0_f64.min(bu_m).min(bd);
+    cp * g.max(0.0) + cn * g.min(0.0)
 }
 
 #[cfg(test)]
@@ -560,75 +533,113 @@ mod tests {
     use crate::graph::mpdata_graph;
     use stencil_engine::{FieldRole, Range1};
 
-    /// The row fast paths must be bit-identical to the scalar kernels on
-    /// every supported kind, over a region including all boundary
-    /// shells, on irregular (non-origin) array regions.
-    #[test]
-    fn fast_paths_bitwise_equal() {
-        use crate::graph::MpdataProblem;
-        let domain = Region3::new(Range1::new(3, 14), Range1::new(-2, 7), Range1::new(5, 18));
-        let p = MpdataProblem::standard();
-        for st in p.graph().stages() {
-            let kind = p.kind(st.id);
-            if fast_safe_domain(kind, domain).is_none() {
-                continue;
+    /// Regions of `d` the row kernels split differently: the whole
+    /// domain; a single cell and a single `k`-row at every face, edge
+    /// and corner position (and the middle); and half rows that end on
+    /// either `k` face.
+    fn probe_regions(d: Region3) -> Vec<Region3> {
+        let middle = |r: Range1| r.lo + (r.hi - r.lo) / 2;
+        let spots = |r: Range1| [r.lo, middle(r), r.hi - 1];
+        let one = |x: i64| Range1::new(x, x + 1);
+        let mid_k = middle(d.k);
+        let mut out: Vec<Region3> = vec![d];
+        for i in spots(d.i) {
+            for j in spots(d.j) {
+                for k in spots(d.k) {
+                    out.push(Region3::new(one(i), one(j), one(k)));
+                }
+                out.push(Region3::new(one(i), one(j), d.k));
+                out.push(Region3::new(one(i), one(j), Range1::new(d.k.lo, mid_k + 1)));
+                out.push(Region3::new(one(i), one(j), Range1::new(mid_k, d.k.hi)));
             }
-            let ins: Vec<Array3> = (0..st.inputs.len())
-                .map(|n| {
-                    Array3::from_fn(domain, |i, j, k| {
-                        0.7 + 0.013 * n as f64 + 0.001 * ((i * 37 + j * 11 + k * 3) % 97) as f64
-                            - 0.0005 * ((i + 2 * j + 3 * k) % 13) as f64
-                    })
-                })
-                .collect();
-            let in_refs: Vec<&Array3> = ins.iter().collect();
-            let mut fast_out: Vec<Array3> = st
-                .outputs
-                .iter()
-                .map(|_| Array3::filled(domain, -9.0))
-                .collect();
-            let mut scalar_out: Vec<Array3> = st
-                .outputs
-                .iter()
-                .map(|_| Array3::filled(domain, -9.0))
-                .collect();
-            {
-                let mut o: Vec<&mut Array3> = fast_out.iter_mut().collect();
-                apply_kind(kind, domain, Boundary::Open, &in_refs, &mut o, domain);
-            }
-            {
-                let mut o: Vec<&mut Array3> = scalar_out.iter_mut().collect();
-                apply_kind_scalar(kind, domain, Boundary::Open, &in_refs, &mut o, domain);
-            }
-            for (f, s) in fast_out.iter().zip(&scalar_out) {
-                assert_eq!(
-                    f.max_abs_diff(s),
-                    0.0,
-                    "{:?} ({}) fast path diverged from scalar",
-                    kind,
-                    st.name
-                );
-            }
+        }
+        let mut seen = std::collections::HashSet::new();
+        out.retain(|r| seen.insert(*r));
+        out
+    }
+
+    /// Input values: smooth and positive, or drawn from a small palette
+    /// so that neighbours tie and signed zeros meet.
+    fn probe_value(ties: bool, slot: usize, i: i64, j: i64, k: i64) -> f64 {
+        let h = (i * 37 + j * 11 + k * 3 + slot as i64 * 5).rem_euclid(97);
+        if ties {
+            const PALETTE: [f64; 6] = [0.0, -0.0, 0.5, 0.5, -0.25, 1.0];
+            PALETTE[(h % 6) as usize]
+        } else {
+            0.7 + 0.013 * slot as f64 + 0.001 * h as f64
+                - 0.0005 * ((i + 2 * j + 3 * k) % 13) as f64
         }
     }
 
+    /// The row kernels must be bit-identical to the scalar kernels for
+    /// every kind, on every region shape they split differently, on
+    /// domains down to extent 1 per axis, with input arrays covering
+    /// either the whole domain or only the block the region reads (as
+    /// the islands executors pass them), and on inputs with ties and
+    /// signed zeros.
     #[test]
-    fn fast_safe_domains_shrink_correct_side() {
-        let d = Region3::of_extent(8, 8, 8);
-        let s = fast_safe_domain(StageKind::FluxI, d).unwrap();
-        assert_eq!((s.i.lo, s.i.hi), (1, 8));
-        assert_eq!(s.j, d.j);
-        let s = fast_safe_domain(StageKind::Update, d).unwrap();
-        assert_eq!((s.i.hi, s.j.hi, s.k.hi), (7, 7, 7));
-        let s = fast_safe_domain(StageKind::AntidiffI, d).unwrap();
-        assert_eq!((s.i.lo, s.i.hi), (1, 8));
-        assert_eq!((s.j.lo, s.j.hi), (1, 7));
-        assert_eq!((s.k.lo, s.k.hi), (1, 7));
-        let s = fast_safe_domain(StageKind::MinMax, d).unwrap();
-        assert_eq!((s.i.lo, s.i.hi, s.j.lo, s.k.hi), (1, 7, 1, 7));
-        // Degenerate domains collapse the safe box to empty.
-        let thin = Region3::of_extent(1, 8, 8);
-        assert!(fast_safe_domain(StageKind::FluxI, thin).unwrap().is_empty());
+    fn fast_paths_bitwise_equal() {
+        use crate::graph::MpdataProblem;
+        let p = MpdataProblem::standard();
+        let at = |lo: i64, n: i64| Range1::new(lo, lo + n);
+        let mut domains = vec![Region3::new(at(3, 11), at(-2, 9), at(5, 13))];
+        for ni in 1..=3 {
+            for nj in 1..=3 {
+                for nk in 1..=3 {
+                    domains.push(Region3::new(at(-1, ni), at(4, nj), at(2, nk)));
+                }
+            }
+        }
+        let mut cases = 0;
+        for &domain in &domains {
+            for region in probe_regions(domain) {
+                // The cells the region's clamped reads can touch.
+                let block = region.expand_uniform(1).intersect(domain);
+                for st in p.graph().stages() {
+                    let kind = p.kind(st.id);
+                    for (arrays, ties) in [(domain, false), (block, true), (block, false)] {
+                        let ins: Vec<Array3> = (0..st.inputs.len())
+                            .map(|n| {
+                                Array3::from_fn(arrays, |i, j, k| probe_value(ties, n, i, j, k))
+                            })
+                            .collect();
+                        let in_refs: Vec<&Array3> = ins.iter().collect();
+                        let out_region = if arrays == domain { domain } else { region };
+                        let run = |scalar: bool| {
+                            let mut outs: Vec<Array3> = st
+                                .outputs
+                                .iter()
+                                .map(|_| Array3::filled(out_region, -9.0))
+                                .collect();
+                            let mut o: Vec<&mut Array3> = outs.iter_mut().collect();
+                            if scalar {
+                                apply_kind_scalar(
+                                    kind,
+                                    domain,
+                                    Boundary::Open,
+                                    &in_refs,
+                                    &mut o,
+                                    region,
+                                );
+                            } else {
+                                apply_kind(kind, domain, Boundary::Open, &in_refs, &mut o, region);
+                            }
+                            outs
+                        };
+                        for (f, s) in run(false).iter().zip(&run(true)) {
+                            assert!(
+                                f.bits_eq(s),
+                                "{kind:?} ({}) row kernels diverged from scalar: domain {domain:?}, \
+                                 region {region:?}, arrays {arrays:?}, ties {ties}",
+                                st.name
+                            );
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases > 10_000, "only {cases} cases ran");
     }
 
     #[test]

@@ -227,17 +227,38 @@ impl Array3 {
 
     /// Largest absolute element-wise difference on the intersection of the
     /// two regions.
+    ///
+    /// NaN if any difference is NaN — a cell that is NaN in either
+    /// array, or infinite with the same sign in both — so a NaN can
+    /// never pass for agreement. Use [`Array3::bits_eq`] for bitwise
+    /// equality.
     pub fn max_abs_diff(&self, other: &Array3) -> f64 {
         let r = self.region.intersect(other.region);
         let mut m: f64 = 0.0;
         for i in r.i.lo..r.i.hi {
             for j in r.j.lo..r.j.hi {
                 for k in r.k.lo..r.k.hi {
-                    m = m.max((self.get(i, j, k) - other.get(i, j, k)).abs());
+                    let d = (self.get(i, j, k) - other.get(i, j, k)).abs();
+                    if d.is_nan() {
+                        return f64::NAN;
+                    }
+                    m = m.max(d);
                 }
             }
         }
         m
+    }
+
+    /// Whether both arrays cover the same region and every cell has the
+    /// same bit pattern (so `-0.0 ≠ +0.0`, and a NaN equals only the
+    /// identical NaN).
+    pub fn bits_eq(&self, other: &Array3) -> bool {
+        let n = self.region.cells();
+        self.region == other.region
+            && self.data[..n]
+                .iter()
+                .zip(&other.data[..n])
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     /// Borrows the contiguous `k`-row of cells `(i, j, kr)` (global
@@ -356,6 +377,52 @@ mod tests {
         b.set(1, 1, 1, 2.5);
         assert_eq!(a.max_abs_diff(&b), 0.5);
         assert_eq!(a.max_abs_diff(&a.clone()), 0.0);
+    }
+
+    #[test]
+    fn max_abs_diff_reports_nan_instead_of_hiding_it() {
+        let a = Array3::filled(Region3::of_extent(3, 3, 3), 2.0);
+        let mut b = a.clone();
+        b.set(2, 2, 2, f64::NAN);
+        assert!(a.max_abs_diff(&b).is_nan());
+        assert!(b.max_abs_diff(&a).is_nan());
+        // A NaN followed by a larger finite difference stays NaN.
+        b.set(0, 0, 0, f64::NAN);
+        b.set(2, 2, 2, 100.0);
+        assert!(a.max_abs_diff(&b).is_nan());
+        // Infinities of the same sign differ by NaN, too.
+        let inf = Array3::filled(Region3::of_extent(1, 1, 1), f64::INFINITY);
+        assert!(inf.max_abs_diff(&inf.clone()).is_nan());
+    }
+
+    #[test]
+    fn bits_eq_distinguishes_signed_zeros_and_regions() {
+        let r = Region3::of_extent(2, 2, 2);
+        let a = Array3::filled(r, 0.0);
+        let mut b = a.clone();
+        assert!(a.bits_eq(&b));
+        b.set(1, 1, 1, -0.0);
+        assert_eq!(a.max_abs_diff(&b), 0.0);
+        assert!(!a.bits_eq(&b));
+        let nan = Array3::filled(r, f64::NAN);
+        assert!(nan.bits_eq(&nan.clone()));
+        assert!(!nan.bits_eq(&a));
+        // Same values over a different region are not equal.
+        let shifted = Array3::filled(
+            Region3::new(Range1::new(1, 3), Range1::new(0, 2), Range1::new(0, 2)),
+            0.0,
+        );
+        assert!(!a.bits_eq(&shifted));
+        // Only the region's cells count after a rebase shrinks it.
+        let mut seven = Array3::filled(Region3::of_extent(3, 3, 3), 7.0);
+        let mut nine = Array3::filled(Region3::of_extent(3, 3, 3), 9.0);
+        for x in [&mut seven, &mut nine] {
+            x.rebase(r);
+            for (i, j, k) in r.points() {
+                x.set(i, j, k, 0.0);
+            }
+        }
+        assert!(seven.bits_eq(&nine));
     }
 
     #[test]

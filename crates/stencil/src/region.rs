@@ -404,25 +404,14 @@ impl Region3 {
     /// k-slabs). Returns `[self]` when the regions do not overlap and
     /// `[]` when `other` covers `self`.
     pub fn subtract(self, other: Region3) -> Vec<Region3> {
-        let mut out = Vec::new();
-        self.subtract_each(other, |r| out.push(r));
-        out
-    }
-
-    /// Allocation-free [`Region3::subtract`]: calls `f` once per
-    /// difference box, in the same slab order. Execution hot loops use
-    /// this to peel boundary shells without touching the heap.
-    pub fn subtract_each(self, other: Region3, mut f: impl FnMut(Region3)) {
         let cut = self.intersect(other);
         if cut.is_empty() {
-            if !self.is_empty() {
-                f(self);
-            }
-            return;
+            return if self.is_empty() { vec![] } else { vec![self] };
         }
+        let mut out = Vec::new();
         let mut push = |r: Region3| {
             if !r.is_empty() {
-                f(r);
+                out.push(r);
             }
         };
         // i-slabs outside the cut, spanning full j × k of self.
@@ -450,6 +439,7 @@ impl Region3 {
         // Within the cut's i×j: k-slabs.
         push(Region3::new(cut.i, cut.j, Range1::new(self.k.lo, cut.k.lo)));
         push(Region3::new(cut.i, cut.j, Range1::new(cut.k.hi, self.k.hi)));
+        out
     }
 
     /// Iterates over all `(i, j, k)` points, `k` fastest.
