@@ -6,7 +6,8 @@
 //! disjointness over a spread of domains, partitions, team shapes,
 //! split axes, schedules, fuse depths and tile modes, plus the
 //! Original preset (one part, one whole-domain block, split along `I`)
-//! — and exits non-zero if *any* diagnostic is produced.
+//! and the exchange (scenario 1) plans over the same partitions — and
+//! exits non-zero if *any* diagnostic is produced.
 //!
 //! `--mutant <name>` instead seeds one known-bad input and runs the
 //! relevant pass on it; the exit code is still "non-zero iff
@@ -31,7 +32,13 @@
 //! * `tile-halo-too-narrow` — in a tile-fused plan, every tile's
 //!   first-stage scratch writes are shaved by one I-slab, modelling a
 //!   rebased scratch footprint too small for the chain's halo reads;
-//!   later stages then read cells no earlier stage of the tile wrote.
+//!   later stages then read cells no earlier stage of the tile wrote;
+//! * `exchange-unfenced-copy` — in an exchange plan, every halo copy
+//!   epoch is moved into the global phase of the stage it copies, so
+//!   the copies read neighbour scratch the neighbour is still writing;
+//! * `exchange-missing-margin` — in an exchange plan, one halo piece is
+//!   dropped from team 0's first copy, so the next stage reads margin
+//!   cells nobody wrote.
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 tracing unavailable
 //! (release build — rebuild in debug).
@@ -41,7 +48,7 @@ use islands_analysis::{
     KernelPath, SchedulePlan,
 };
 use islands_core::Partition;
-use mpdata::{Boundary, MpdataProblem, PlanConfig, SchedulePolicy, TileMode};
+use mpdata::{Boundary, HaloPolicy, MpdataProblem, PlanConfig, SchedulePolicy, TileMode};
 use stencil_engine::{balanced_cuts, trace, Axis, CostModel, Offset3, Range1, Region3};
 
 /// Cache budget used for all disjointness plans — small enough to force
@@ -58,6 +65,15 @@ fn config(split_axis: Axis) -> PlanConfig {
         cache_bytes: CACHE_BYTES,
         split_axis,
         ..PlanConfig::default()
+    }
+}
+
+/// The exchange (scenario 1) configuration, split along `J` like the
+/// `ExchangeExecutor` preset.
+fn exchange() -> PlanConfig {
+    PlanConfig {
+        halo: HaloPolicy::Exchange,
+        ..config(Axis::J)
     }
 }
 
@@ -88,7 +104,7 @@ fn run(args: &[String]) -> i32 {
             eprintln!(
                 "usage: stencil-lint [--mutant drop-offset|overlap-partition\
                  |overlap-ranks|stale-output|overlap-chunks|fused-overlap-step2\
-                 |tile-halo-too-narrow]"
+                 |tile-halo-too-narrow|exchange-unfenced-copy|exchange-missing-margin]"
             );
             return 2;
         }
@@ -102,6 +118,8 @@ fn run(args: &[String]) -> i32 {
         Some("overlap-chunks") => mutant_overlap_chunks(),
         Some("fused-overlap-step2") => mutant_fused_overlap_step2(),
         Some("tile-halo-too-narrow") => mutant_tile_halo_too_narrow(),
+        Some("exchange-unfenced-copy") => mutant_exchange_unfenced_copy(),
+        Some("exchange-missing-margin") => mutant_exchange_missing_margin(),
         Some(other) => {
             eprintln!("stencil-lint: unknown mutant `{other}`");
             return 2;
@@ -305,6 +323,25 @@ fn full_matrix() -> Vec<Diagnostic> {
             );
             all.extend(found);
         }
+
+        // Scenario 1: the exchange plans over the same partitions —
+        // copy epochs fenced by global phases, margins covered by the
+        // copies, diagonal neighbours of the 2×2 grid included.
+        for (desc, parts) in &partitions {
+            for shape in ["uniform-2", "mixed"] {
+                let sizes: Vec<usize> = match shape {
+                    "uniform-2" => vec![2; parts.len()],
+                    _ => (0..parts.len()).map(|n| 1 + n % 3).collect(),
+                };
+                let found = check_disjointness(&plan(domain, parts, &sizes, &exchange()));
+                println!(
+                    "disjointness domain={domain:?} partition={desc} teams={shape} \
+                     halo=exchange: {} diagnostic(s)",
+                    found.len()
+                );
+                all.extend(found);
+            }
+        }
     }
 
     // Sliver tiles on a small prime-extent domain: every tile is a
@@ -481,5 +518,39 @@ fn mutant_stale_output() -> Vec<Diagnostic> {
             accs.retain(|a| !(a.write && a.field == out));
         }
     }
+    check_disjointness(&plan)
+}
+
+fn mutant_exchange_unfenced_copy() -> Vec<Diagnostic> {
+    let domain = Region3::of_extent(16, 12, 6);
+    let parts = domain.split(Axis::I, 2);
+    let mut plan = plan(domain, &parts, &[2, 2], &exchange());
+    // Drop the global barrier before every halo copy: each copy epoch
+    // joins the phase of the stage it copies, so it reads neighbour
+    // scratch while the neighbour may still be writing it.
+    for team in &mut plan.teams {
+        for ep in team
+            .epochs
+            .iter_mut()
+            .filter(|ep| ep.label.contains("/ copy "))
+        {
+            ep.phase -= 1;
+        }
+    }
+    check_disjointness(&plan)
+}
+
+fn mutant_exchange_missing_margin() -> Vec<Diagnostic> {
+    let domain = Region3::of_extent(16, 12, 6);
+    let parts = domain.split(Axis::I, 2);
+    let mut plan = plan(domain, &parts, &[2, 2], &exchange());
+    // Drop one piece of team 0's first halo copy: the next stage reads
+    // margin cells no copy filled.
+    let copy = plan.teams[0]
+        .epochs
+        .iter_mut()
+        .find(|ep| ep.label.contains("/ copy "))
+        .expect("exchange plans copy halos");
+    copy.per_rank.remove(0);
     check_disjointness(&plan)
 }

@@ -9,18 +9,24 @@
 //! * within a team, every `(block, stage)` pair is one barrier-fenced
 //!   *epoch*; no rank's write region may intersect another rank's
 //!   read-or-write region of the same field inside an epoch;
-//! * across teams, the whole time step is one epoch (teams synchronize
-//!   only at the step join); no team's write to a *shared* field
-//!   (externals and outputs) may intersect any other team's access;
+//! * across teams, only global barriers order accesses: each epoch
+//!   records how many precede it (its *global phase*; the whole step is
+//!   phase 0 unless halos are exchanged), and no team's write to a field
+//!   other teams see — shared fields (externals and outputs) and the
+//!   team-owned scratch of exchange plans — may intersect any other
+//!   team's access to it in the same phase;
 //! * external fields are read-only everywhere;
 //! * every read of an island-private (intermediate) field must be
-//!   covered by same-team writes from strictly earlier epochs;
+//!   covered by same-team writes from strictly earlier epochs, and a
+//!   read of another team's scratch (an exchange copy) by its owner's
+//!   writes from strictly earlier global phases;
 //! * the union of all teams' writes to each shared output field must
 //!   cover the whole domain — the executors keep output buffers alive
 //!   across steps (the persistent-plan path re-claims scratch and
 //!   output per step instead of reallocating), so an unwritten output
 //!   cell is not merely uninitialized, it silently carries the
-//!   previous step's value.
+//!   previous step's value. Team-owned scratch covers only its owner's
+//!   margin-expanded part and is exempt.
 //!
 //! The checks are sound for [`mpdata::Boundary::Open`] problems because
 //! open-boundary reads clamp into the halo-expanded boxes recorded
@@ -28,9 +34,10 @@
 //! whole-domain sweep, where every box is the whole domain.
 
 use crate::diag::{Diagnostic, DiagnosticCode};
-use mpdata::{MpdataProblem, PlanConfig, SchedulePolicy, TileMode};
+use mpdata::{HaloPolicy, MpdataProblem, PlanConfig, SchedulePolicy, TileMode};
 use stencil_engine::{
-    choose_tile, tile_grid, BlockPlanner, FieldId, FieldRole, PlanBlocksError, Region3, StageDef,
+    choose_tile, tile_grid, BlockPlanner, FieldId, FieldRole, Halo3, PlanBlocksError, Region3,
+    StageDef,
 };
 
 /// One planned access of one rank inside an epoch.
@@ -50,6 +57,9 @@ pub struct PlannedAccess {
 pub struct Epoch {
     /// Human-readable position, e.g. `block 2 / stage upd-1`.
     pub label: String,
+    /// Global barriers that precede the epoch within the step — its
+    /// global phase (always 0 without halo exchange).
+    pub phase: usize,
     /// Accesses per rank (index = rank).
     pub per_rank: Vec<Vec<PlannedAccess>>,
 }
@@ -75,6 +85,9 @@ pub struct SchedulePlan {
     pub shared: Vec<bool>,
     /// Per field: external input, never legally written in-step.
     pub external: Vec<bool>,
+    /// Per field: the team owning it, for exchange scratch — island
+    /// scratch that other teams' copies read (`None` otherwise).
+    pub owner: Vec<Option<usize>>,
     /// One plan per team, in team order.
     pub teams: Vec<TeamPlan>,
 }
@@ -106,6 +119,18 @@ pub struct SchedulePlan {
 ///   demands each step's halo enlargement be wide enough for the next
 ///   step's reads; rules 2–3 prove the slot hand-offs race-free; rule 5
 ///   still demands the last fused step's output writes tile the domain.
+/// * **Exchange** plans ([`HaloPolicy::Exchange`], scenario 1 of the
+///   paper) mirror the exchange `StepPlan`: per team one epoch per stage over
+///   `part ∩ region_s(domain)` in global phase `s`, sliced like an
+///   untiled epoch; after every non-final stage a copy epoch in phase
+///   `s + 1` with one slot per piece — `hull ∩ neighbour part` of each
+///   stage output, `hull` being the part expanded by the widest
+///   single-stage input halo and clipped to the domain — reading the
+///   neighbour's scratch and writing the team's own. Each team's
+///   intermediates are team-owned pseudo-fields (`t1:f1`), so rule 3
+///   checks every copy read against the neighbour's writes of the same
+///   phase, rule 4 proves the margins covered by the copies and the
+///   copied cells written in an earlier phase, and rule 5 skips them.
 /// * **Tiled** plans cut each fused-step target into the same balanced
 ///   `(ti, tj)` tile grid the plan builder uses ([`TileMode::Auto`]
 ///   resolved through [`stencil_engine::choose_tile`] from
@@ -134,8 +159,9 @@ pub struct SchedulePlan {
 ///
 /// # Panics
 ///
-/// Panics if `parts` and `team_sizes` disagree in length or the problem
-/// is not open-boundary.
+/// Panics if `parts` and `team_sizes` disagree in length, the problem
+/// is not open-boundary, or an exchange plan asks for step fusion or
+/// tiling (which the executor rejects too).
 pub fn islands_plan(
     problem: &MpdataProblem,
     domain: Region3,
@@ -170,8 +196,24 @@ pub fn islands_plan(
         external: (0..nf)
             .map(|n| fields.role(FieldId(n as u32)) == FieldRole::External)
             .collect(),
+        owner: vec![None; nf],
         teams: Vec::with_capacity(parts.len()),
     };
+    // A static schedule is the 1-chunk-per-rank case (slot index = rank).
+    let slots_for = |size: usize| match config.schedule {
+        SchedulePolicy::Static => (size, ""),
+        SchedulePolicy::Dynamic { chunks_per_rank } => {
+            (size * chunks_per_rank.max(1), " (dynamic chunks)")
+        }
+    };
+    if config.halo == HaloPolicy::Exchange {
+        assert!(
+            k == 1 && tile.is_none(),
+            "the exchange halo policy cannot fuse time steps or tile stage chains"
+        );
+        exchange_teams(&mut plan, problem, parts, team_sizes, config, slots_for);
+        return Ok(plan);
+    }
     if k > 1 {
         // The team-private ping-pong buffers the advected field moves
         // through between fused steps (fields `nf` and `nf + 1`).
@@ -179,7 +221,7 @@ pub fn islands_plan(
         // slot races, rule 4 demands every slot read be covered by
         // earlier same-team slot writes, and rules 3/5 ignore them.
         for slot in 0..2 {
-            plan.add_private(format!("x@slot{slot}"));
+            plan.add_field(format!("x@slot{slot}"), None);
         }
     }
     // The advected field's home in fused step `ts` (`None` for every
@@ -224,10 +266,10 @@ pub fn islands_plan(
                                     .map(|f| {
                                         let fid = FieldId(f as u32);
                                         if fields.role(fid) == FieldRole::Intermediate {
-                                            plan.add_private(format!(
-                                                "t{t}/s{ts}/tile{n}:{}",
-                                                fields.name(fid)
-                                            ))
+                                            plan.add_field(
+                                                format!("t{t}/s{ts}/tile{n}:{}", fields.name(fid)),
+                                                None,
+                                            )
                                         } else {
                                             f
                                         }
@@ -249,19 +291,13 @@ pub fn islands_plan(
                                 .collect();
                             epochs.push(Epoch {
                                 label: format!("step {ts} / stage {} (tiles)", st.name),
+                                phase: 0,
                                 per_rank,
                             });
                         }
                     }
                     None => {
-                        // A static schedule is the 1-chunk-per-rank case
-                        // (slot index = rank).
-                        let (slots, slot_word) = match config.schedule {
-                            SchedulePolicy::Static => (size, ""),
-                            SchedulePolicy::Dynamic { chunks_per_rank } => {
-                                (size * chunks_per_rank.max(1), " (dynamic chunks)")
-                            }
-                        };
+                        let (slots, slot_word) = slots_for(size);
                         let step_word = if k > 1 {
                             format!("step {ts} / ")
                         } else {
@@ -293,6 +329,7 @@ pub fn islands_plan(
                                         "{step_word}block {b} / stage {}{slot_word}",
                                         st.name
                                     ),
+                                    phase: 0,
                                     per_rank,
                                 });
                             }
@@ -306,13 +343,108 @@ pub fn islands_plan(
     Ok(plan)
 }
 
+/// Fills `plan.teams` with the exchange (scenario 1) schedule described
+/// at [`islands_plan`], from the region algebra alone.
+fn exchange_teams(
+    plan: &mut SchedulePlan,
+    problem: &MpdataProblem,
+    parts: &[Region3],
+    team_sizes: &[usize],
+    config: &PlanConfig,
+    slots_for: impl Fn(usize) -> (usize, &'static str),
+) {
+    let domain = plan.domain;
+    let graph = problem.graph();
+    let fields = graph.fields();
+    let xout = problem.xout();
+    let base = graph.required_regions(domain, domain);
+    let margin = graph
+        .stages()
+        .iter()
+        .fold(Halo3::ZERO, |h, st| h.max(st.input_halo()));
+    // Team `t`'s home of field `f`: its own pseudo-field for
+    // intermediates, the field itself otherwise.
+    let home: Vec<Vec<usize>> = (0..parts.len())
+        .map(|t| {
+            (0..fields.len())
+                .map(|f| {
+                    let fid = FieldId(f as u32);
+                    if fields.role(fid) == FieldRole::Intermediate {
+                        plan.add_field(format!("t{t}:{}", fields.name(fid)), Some(t))
+                    } else {
+                        f
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    for (t, (&part, &size)) in parts.iter().zip(team_sizes).enumerate() {
+        let mut epochs = Vec::new();
+        if !part.is_empty() {
+            let hull = part.expand(margin).intersect(domain);
+            let (slots, slot_word) = slots_for(size);
+            for (s, st) in graph.stages().iter().enumerate() {
+                let region = part.intersect(base[st.id.index()]);
+                let per_rank = (0..slots)
+                    .map(|slot| {
+                        stage_accesses(
+                            st,
+                            mpdata::rank_slice(region, config.split_axis, slot, slots),
+                            domain,
+                            |o| home[t][o.index()],
+                            |f| home[t][f.index()],
+                        )
+                    })
+                    .collect();
+                epochs.push(Epoch {
+                    label: format!("phase {s} / stage {}{slot_word}", st.name),
+                    phase: s,
+                    per_rank,
+                });
+                if st.outputs == [xout] {
+                    continue;
+                }
+                let mut pieces = Vec::new();
+                for (o, &other) in parts.iter().enumerate() {
+                    let region = hull.intersect(other);
+                    if o == t || region.is_empty() {
+                        continue;
+                    }
+                    for &f in &st.outputs {
+                        pieces.push(vec![
+                            PlannedAccess {
+                                field: home[t][f.index()],
+                                region,
+                                write: true,
+                            },
+                            PlannedAccess {
+                                field: home[o][f.index()],
+                                region,
+                                write: false,
+                            },
+                        ]);
+                    }
+                }
+                epochs.push(Epoch {
+                    label: format!("phase {} / copy {}", s + 1, st.name),
+                    phase: s + 1,
+                    per_rank: pieces,
+                });
+            }
+        }
+        plan.teams.push(TeamPlan { epochs });
+    }
+}
+
 impl SchedulePlan {
-    /// Registers an island-private, non-external pseudo-field and
-    /// returns its index.
-    fn add_private(&mut self, name: String) -> usize {
+    /// Registers an island-private, non-external pseudo-field — owned
+    /// by team `owner` when other teams' copies read it — and returns
+    /// its index.
+    fn add_field(&mut self, name: String, owner: Option<usize>) -> usize {
         self.field_names.push(name);
         self.shared.push(false);
         self.external.push(false);
+        self.owner.push(owner);
         self.field_names.len() - 1
     }
 }
@@ -403,14 +535,26 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
         }
     }
 
-    // Rule 3: cross-team, whole step — writes to shared fields must not
-    // intersect any other team's access to them.
-    let step_accesses = |team: &TeamPlan| -> Vec<PlannedAccess> {
+    // Rule 3: cross-team, per global phase — writes to fields other
+    // teams see (shared fields, team-owned exchange scratch) must not
+    // intersect any other team's access to them in the same phase.
+    let phased = plan
+        .teams
+        .iter()
+        .flat_map(|team| &team.epochs)
+        .any(|ep| ep.phase > 0);
+    let unordered = if phased {
+        "no global barrier between them"
+    } else {
+        "no intra-step synchronization between teams"
+    };
+    let step_accesses = |team: &TeamPlan| -> Vec<(usize, PlannedAccess)> {
         team.epochs
             .iter()
-            .flat_map(|ep| ep.per_rank.iter().flatten().cloned())
+            .flat_map(|ep| ep.per_rank.iter().flatten().map(|a| (ep.phase, a.clone())))
             .collect()
     };
+    let seen_across = |f: usize| plan.shared[f] || plan.owner[f].is_some();
     for ta in 0..plan.teams.len() {
         let accs_a = step_accesses(&plan.teams[ta]);
         for tb in 0..plan.teams.len() {
@@ -418,18 +562,27 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
                 continue;
             }
             let accs_b = step_accesses(&plan.teams[tb]);
-            for wa in accs_a.iter().filter(|a| a.write && plan.shared[a.field]) {
-                for ab in accs_b.iter().filter(|b| b.field == wa.field) {
+            for (pa, wa) in accs_a
+                .iter()
+                .filter(|(_, a)| a.write && seen_across(a.field))
+            {
+                for (_, ab) in accs_b
+                    .iter()
+                    .filter(|(pb, b)| pb == pa && b.field == wa.field)
+                {
                     if (ab.write && ta > tb) || !wa.region.overlaps(ab.region) {
                         continue;
                     }
                     found.push(Diagnostic {
                         code: DiagnosticCode::CrossTeamOverlap,
-                        site: format!("teams {ta}+{tb}"),
+                        site: if phased {
+                            format!("teams {ta}+{tb} / phase {pa}")
+                        } else {
+                            format!("teams {ta}+{tb}")
+                        },
                         field: fname(wa.field),
                         detail: format!(
-                            "team {ta} writes {:?} while team {tb} {} {:?} with no \
-                             intra-step synchronization between teams",
+                            "team {ta} writes {:?} while team {tb} {} {:?} with {unordered}",
                             wa.region,
                             if ab.write { "writes" } else { "reads" },
                             ab.region
@@ -441,7 +594,25 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
     }
 
     // Rule 4: coverage — island-private reads must resolve to cells the
-    // same team wrote in a strictly earlier epoch.
+    // same team wrote in a strictly earlier epoch; a copy's read of
+    // another team's scratch, to cells the owner wrote in a strictly
+    // earlier global phase.
+    let phase_writes: Vec<Vec<(usize, usize, Region3)>> = plan
+        .teams
+        .iter()
+        .map(|team| {
+            team.epochs
+                .iter()
+                .flat_map(|ep| {
+                    ep.per_rank
+                        .iter()
+                        .flatten()
+                        .filter(|a| a.write)
+                        .map(|a| (ep.phase, a.field, a.region))
+                })
+                .collect()
+        })
+        .collect();
     for (t, team) in plan.teams.iter().enumerate() {
         let mut written: Vec<(usize, Region3)> = Vec::new();
         for ep in &team.epochs {
@@ -450,25 +621,36 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
                     if plan.shared[rd.field] {
                         continue; // pre-existing inputs / the output
                     }
+                    // A copy reading another team's scratch is ordered
+                    // only after that team's earlier-phase writes.
+                    let other = plan.owner[rd.field].filter(|&o| o != t);
+                    let theirs = other.into_iter().flat_map(|o| {
+                        phase_writes[o]
+                            .iter()
+                            .filter(|w| w.0 < ep.phase && w.1 == rd.field)
+                            .map(|w| w.2)
+                    });
+                    let ours = written
+                        .iter()
+                        .filter(|w| other.is_none() && w.0 == rd.field)
+                        .map(|w| w.1);
                     let mut remaining = vec![rd.region];
-                    for (_, wr) in written.iter().filter(|(wf, _)| *wf == rd.field) {
-                        remaining = remaining
-                            .into_iter()
-                            .flat_map(|r| r.subtract(*wr))
-                            .collect();
+                    for wr in theirs.chain(ours) {
+                        remaining = remaining.into_iter().flat_map(|r| r.subtract(wr)).collect();
                         if remaining.is_empty() {
                             break;
                         }
                     }
                     if let Some(gap) = remaining.first() {
+                        let by = match other {
+                            Some(o) => format!("no earlier phase of team {o}"),
+                            None => "no earlier epoch of this team".to_string(),
+                        };
                         found.push(Diagnostic {
                             code: DiagnosticCode::UncoveredRead,
                             site: format!("team {t} rank {rank} / {}", ep.label),
                             field: fname(rd.field),
-                            detail: format!(
-                                "reads {:?} but no earlier epoch of this team wrote {:?}",
-                                rd.region, gap
-                            ),
+                            detail: format!("reads {:?} but {by} wrote {:?}", rd.region, gap),
                         });
                     }
                 }
@@ -486,6 +668,8 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
     // Rule 5: output coverage — every domain cell of each shared,
     // non-external field must be written by some team. Output buffers
     // persist across steps, so a coverage gap is stale data, not zeros.
+    // (Team-owned exchange scratch is not shared: each team's copy spans
+    // only its own margin-expanded part.)
     if !plan.domain.is_empty() {
         for f in 0..plan.field_names.len() {
             if !plan.shared[f] || plan.external[f] {

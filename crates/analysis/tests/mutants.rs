@@ -8,7 +8,7 @@ use islands_analysis::{
     check_disjointness, check_graph, islands_plan, with_offset_removed, DiagnosticCode, KernelPath,
     PlannedAccess,
 };
-use mpdata::{MpdataProblem, PlanConfig, SchedulePolicy};
+use mpdata::{HaloPolicy, MpdataProblem, PlanConfig, SchedulePolicy};
 use stencil_engine::{trace, Axis, Offset3, Range1, Region3, StageGraph, StencilPattern};
 
 fn domain() -> Region3 {
@@ -38,6 +38,14 @@ fn fused(split_axis: Axis, fuse_steps: usize) -> PlanConfig {
 fn dynamic(split_axis: Axis, chunks_per_rank: usize) -> PlanConfig {
     PlanConfig {
         schedule: SchedulePolicy::Dynamic { chunks_per_rank },
+        ..config(split_axis)
+    }
+}
+
+/// [`config`] under the exchange halo policy (scenario 1).
+fn exchange(split_axis: Axis) -> PlanConfig {
+    PlanConfig {
+        halo: HaloPolicy::Exchange,
         ..config(split_axis)
     }
 }
@@ -390,4 +398,114 @@ fn clean_fused_schedule_stays_clean_as_a_control() {
         fused0.teams[0].epochs[0].label,
         plain.teams[0].epochs[0].label
     );
+}
+
+#[test]
+fn unfenced_exchange_copy_is_a_cross_team_overlap() {
+    // Move every halo copy into the global phase of the stage it
+    // copies: the copy then reads neighbour scratch in the same phase
+    // the neighbour writes it.
+    let problem = MpdataProblem::standard();
+    let d = Region3::of_extent(16, 12, 6);
+    let parts = d.split(Axis::I, 2);
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &exchange(Axis::J)).unwrap();
+    for team in &mut plan.teams {
+        for ep in team
+            .epochs
+            .iter_mut()
+            .filter(|ep| ep.label.contains("/ copy "))
+        {
+            ep.phase -= 1;
+        }
+    }
+    let found = check_disjointness(&plan);
+    let hit = found
+        .iter()
+        .find(|f| f.code == DiagnosticCode::CrossTeamOverlap && f.field == "t0:f1")
+        .unwrap_or_else(|| panic!("expected a cross-team overlap on t0:f1, got: {found:?}"));
+    assert!(
+        hit.site == "teams 0+1 / phase 0" && hit.detail.contains("team 1 reads [7, 8)"),
+        "team 1's copy of team 0's boundary plane should race stage 0, got: {hit:?}"
+    );
+}
+
+#[test]
+fn dropped_exchange_piece_is_an_uncovered_margin_read() {
+    // Drop the one piece of team 0's first copy (f1 from team 1): the
+    // low-order update reads f1 one plane into team 1's part.
+    let problem = MpdataProblem::standard();
+    let d = Region3::of_extent(16, 12, 6);
+    let parts = d.split(Axis::I, 2);
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &exchange(Axis::J)).unwrap();
+    let copy = plan.teams[0]
+        .epochs
+        .iter_mut()
+        .find(|ep| ep.label.contains("/ copy "))
+        .unwrap();
+    assert_eq!(copy.per_rank.len(), 1, "one neighbour, one output field");
+    copy.per_rank.clear();
+    let found = check_disjointness(&plan);
+    assert!(
+        found.iter().any(|f| f.code == DiagnosticCode::UncoveredRead
+            && f.field == "t0:f1"
+            && f.detail.contains("wrote [8, 9)")),
+        "expected an uncovered read of team 0's f1 margin, got: {found:?}"
+    );
+}
+
+/// A 2×2 island grid over `d`, team order `(i, j)` row-major.
+fn grid2x2(d: Region3) -> Vec<Region3> {
+    d.split(Axis::I, 2)
+        .into_iter()
+        .flat_map(|half| half.split(Axis::J, 2))
+        .collect()
+}
+
+#[test]
+fn clean_exchange_schedule_stays_clean_as_a_control() {
+    let problem = MpdataProblem::standard();
+    let d = Region3::of_extent(16, 12, 6);
+    let dynamic_k = PlanConfig {
+        schedule: SchedulePolicy::Dynamic { chunks_per_rank: 2 },
+        ..exchange(Axis::K)
+    };
+    for (parts, sizes) in [
+        (d.split(Axis::I, 2), vec![2, 2]),
+        (grid2x2(d), vec![1, 2, 1, 3]),
+    ] {
+        for config in [exchange(Axis::J), dynamic_k] {
+            let plan = islands_plan(&problem, d, &parts, &sizes, &config).unwrap();
+            assert_eq!(
+                check_disjointness(&plan),
+                vec![],
+                "{} parts, {config:?}",
+                parts.len()
+            );
+            // Scratch is team-owned, and every copy epoch sits one
+            // global phase after the stage it copies.
+            let t1_f1 = plan.field_names.iter().position(|n| n == "t1:f1").unwrap();
+            assert_eq!(plan.owner[t1_f1], Some(1));
+            for team in &plan.teams {
+                for pair in team.epochs.windows(2) {
+                    if pair[1].label.contains("/ copy ") {
+                        assert_eq!(pair[1].phase, pair[0].phase + 1);
+                    }
+                }
+            }
+        }
+    }
+    // On the 2×2 grid, team 0's first copy pulls from all three
+    // neighbours — the diagonal one included.
+    let plan = islands_plan(&problem, d, &grid2x2(d), &[1; 4], &exchange(Axis::J)).unwrap();
+    let first_copy = plan.teams[0]
+        .epochs
+        .iter()
+        .find(|ep| ep.label.contains("/ copy "))
+        .unwrap();
+    let sources: Vec<&str> = first_copy
+        .per_rank
+        .iter()
+        .map(|accs| plan.field_names[accs[1].field].as_str())
+        .collect();
+    assert_eq!(sources, ["t1:f1", "t2:f1", "t3:f1"]);
 }

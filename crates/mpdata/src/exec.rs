@@ -313,7 +313,10 @@ impl ParStore {
     }
 
     /// Applies `stage` over `region` from one worker, resolving external
-    /// inputs through `ext`.
+    /// inputs through `ext`. With `dest`, the stage's single output goes
+    /// into that caller-supplied buffer instead of its store slot — how
+    /// the engine writes the final stage straight into the step's x
+    /// output.
     ///
     /// # Safety contract (internal)
     ///
@@ -321,6 +324,7 @@ impl ParStore {
     /// same stage, and stages must be separated by a barrier or join.
     /// Both are guaranteed by the executors: regions come from
     /// [`rank_slice`] and stages are fenced by broadcasts/team barriers.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn apply(
         &self,
         stage: &StageDef,
@@ -329,19 +333,26 @@ impl ParStore {
         bc: Boundary,
         region: Region3,
         ext: ExtFields<'_>,
+        dest: Option<&mut Array3>,
     ) {
         if region.is_empty() {
             return;
         }
         let ids = &self.ids;
+        // Store-held outputs: none when the caller supplies `dest`.
+        let store_outs: &[FieldId] = if dest.is_some() {
+            assert_eq!(stage.outputs.len(), 1, "a destination takes one output");
+            &[]
+        } else {
+            &stage.outputs
+        };
         // Debug overlap guard: claim the regions this call touches
         // (outputs written over `region`, store-held inputs read over the
         // halo-expanded slice — periodic wraps are under-claimed, which
         // only weakens, never falsifies, the check) and track the cells.
         #[cfg(debug_assertions)]
         let _claims = {
-            let wanted: Vec<(FieldId, Region3, bool)> = stage
-                .outputs
+            let wanted: Vec<(FieldId, Region3, bool)> = store_outs
                 .iter()
                 .map(|&f| (f, region, true))
                 .chain(
@@ -361,7 +372,7 @@ impl ParStore {
                 trackers.push(self.cells.cell(*f).track_read());
             }
         }
-        for &f in &stage.outputs {
+        for &f in store_outs {
             trackers.push(self.cells.cell(f).track_write());
         }
         let mut ins: InlineVec<&Array3, MAX_STAGE_ARGS> = InlineVec::new();
@@ -376,7 +387,10 @@ impl ParStore {
             }));
         }
         let mut outs: InlineVec<&mut Array3, MAX_STAGE_ARGS> = InlineVec::new();
-        for &f in &stage.outputs {
+        if let Some(d) = dest {
+            outs.push(d);
+        }
+        for &f in store_outs {
             // SAFETY: concurrent callers write disjoint regions (see
             // the contract above), and no caller reads an output of
             // the stage it is executing.
@@ -390,86 +404,35 @@ impl ParStore {
         drop(trackers);
     }
 
-    /// Copies `region` of `f` out of the store (shared access only —
-    /// safe to run while other threads also read this store).
+    /// Copies `region` of `f` from `src`'s buffer into this store's —
+    /// one halo piece of the exchange plans, store to store.
     ///
     /// # Safety contract (internal)
     ///
-    /// No concurrent writer may overlap `region` of `f`; callers
-    /// separate extraction and mutation phases with joins.
-    pub(crate) fn extract(&self, f: FieldId, region: Region3) -> Array3 {
+    /// No concurrent caller may write `region` of `f` in `src`, or touch
+    /// `region` of `f` in this store. The exchange replay provides this:
+    /// a global barrier precedes the copies and a team barrier follows
+    /// them, and the pieces a team writes are disjoint from every part a
+    /// neighbour reads. Other regions of the same buffers *are* accessed
+    /// concurrently (a neighbour reads this store's part while its own
+    /// margin is being filled), which the per-buffer access trackers
+    /// cannot tell from a race, so only the region-precise debug claims
+    /// guard this call.
+    pub(crate) fn copy_from(&self, src: &ParStore, f: FieldId, region: Region3) {
         #[cfg(debug_assertions)]
-        let _claim = self.cells.claim(&[(f, region, false)], "extract");
-        let _tracker = self.cells.cell(f).track_read();
+        let _claims = (
+            self.cells.claim(&[(f, region, true)], "exchange-copy"),
+            src.cells.claim(&[(f, region, false)], "exchange-copy"),
+        );
         // SAFETY: see the contract above.
-        let src = unsafe { self.cells.cell(f).get_ref() }
+        let from = unsafe { src.cells.cell(f).get_ref() }
             .as_ref()
             .expect("buffer present");
-        let mut out = Array3::zeros(region);
-        out.copy_region_from(src, region);
-        out
-    }
-
-    /// Copies `piece` into `f`'s buffer (exclusive access).
-    pub(crate) fn blit(&mut self, f: FieldId, piece: &Array3) {
-        let dst = self
-            .cells
-            .cell_mut(f)
-            .get_mut_exclusive()
+        // SAFETY: see the contract above.
+        unsafe { self.cells.cell(f).get_mut() }
             .as_mut()
-            .expect("buffer present");
-        dst.copy_region_from(piece, piece.region());
-    }
-
-    /// Applies a single-output `stage` over `region`, writing into the
-    /// caller-supplied buffer instead of a store slot (used by the
-    /// islands executor to write the final stage straight into the
-    /// shared output array). Same disjointness contract as
-    /// [`ParStore::apply`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn apply_into(
-        &self,
-        stage: &StageDef,
-        kind: StageKind,
-        domain: Region3,
-        bc: Boundary,
-        region: Region3,
-        out: &mut Array3,
-        ext: ExtFields<'_>,
-    ) {
-        if region.is_empty() {
-            return;
-        }
-        assert_eq!(stage.outputs.len(), 1, "apply_into takes one output");
-        let ids = &self.ids;
-        #[cfg(debug_assertions)]
-        let _claims = {
-            let wanted: Vec<(FieldId, Region3, bool)> = stage
-                .inputs
-                .iter()
-                .filter(|(f, _)| ext.get(ids, *f).is_none())
-                .map(|(f, pat)| (*f, region.expand(pat.halo()).intersect(domain), false))
-                .collect();
-            self.cells.claim(&wanted, &stage.name)
-        };
-        let mut trackers: InlineVec<AccessTracker<'_, Option<Array3>>, MAX_STAGE_ARGS> =
-            InlineVec::new();
-        for (f, _) in &stage.inputs {
-            if ext.get(ids, *f).is_none() {
-                trackers.push(self.cells.cell(*f).track_read());
-            }
-        }
-        let mut ins: InlineVec<&Array3, MAX_STAGE_ARGS> = InlineVec::new();
-        for (f, _) in &stage.inputs {
-            ins.push(ext.get(ids, *f).unwrap_or_else(|| {
-                // SAFETY: see `apply`.
-                unsafe { self.cells.cell(*f).get_ref() }
-                    .as_ref()
-                    .expect("buffer present")
-            }));
-        }
-        apply_kind(kind, domain, bc, &ins, &mut [out], region);
-        drop(trackers);
+            .expect("buffer present")
+            .copy_region_from(from, region);
     }
 }
 
@@ -479,6 +442,17 @@ mod tests {
     use crate::fields::gaussian_pulse;
     use crate::graph::MpdataProblem;
     use stencil_engine::Range1;
+
+    impl ParStore {
+        /// Moves `f`'s buffer out of the store (exclusive access).
+        fn take(&mut self, f: FieldId) -> Array3 {
+            self.cells
+                .cell_mut(f)
+                .get_mut_exclusive()
+                .take()
+                .expect("buffer present")
+        }
+    }
 
     #[test]
     fn rank_slice_partitions() {
@@ -527,24 +501,17 @@ mod tests {
         ps.alloc(f1, d);
         // Two "workers", disjoint halves, sequential here (the pool tests
         // exercise true concurrency).
-        ps.apply(
-            &g.stages()[0],
-            kind,
-            d,
-            Boundary::Open,
-            Region3::new(Range1::new(0, 3), d.j, d.k),
-            ext,
-        );
-        ps.apply(
-            &g.stages()[0],
-            kind,
-            d,
-            Boundary::Open,
-            Region3::new(Range1::new(3, 6), d.j, d.k),
-            ext,
-        );
-        let par = ps.extract(f1, d);
-        assert_eq!(par.max_abs_diff(&serial), 0.0);
+        for half in d.split(Axis::I, 2) {
+            ps.apply(&g.stages()[0], kind, d, Boundary::Open, half, ext, None);
+        }
+        // Copy the result piecewise into a second store, as the exchange
+        // plans move halo pieces, and read it from there.
+        let mut copy = ParStore::new(g.fields().len(), p.ext());
+        copy.alloc(f1, d);
+        for piece in d.split(Axis::J, 3) {
+            copy.copy_from(&ps, f1, piece);
+        }
+        assert!(copy.take(f1).bits_eq(&serial));
     }
 
     #[test]
@@ -555,7 +522,7 @@ mod tests {
         *ps.cells.cell_mut(f).get_mut_exclusive() = Some(Array3::filled(d, 7.0));
         let sub = Region3::new(Range1::new(1, 3), Range1::new(0, 4), Range1::new(2, 4));
         ps.zero_region(f, sub);
-        let arr = ps.extract(f, d);
+        let arr = ps.take(f);
         for (i, j, k, v) in arr.iter_indexed() {
             let inside = sub.contains(i, j, k);
             assert_eq!(v, if inside { 0.0 } else { 7.0 }, "at ({i},{j},{k})");

@@ -13,9 +13,10 @@
 //!
 //! The paper's other strategies are configurations of the same engine:
 //! the pure (3+1)D decomposition is a single island spanning the pool
-//! (`TeamSpec::even(n, 1)`), and the Original version is
+//! (`TeamSpec::even(n, 1)`), the Original version is
 //! [`crate::OriginalExecutor`], a single island with one whole-domain
-//! block.
+//! block, and scenario 1 is [`crate::ExchangeExecutor`], islands that
+//! copy halos after every stage instead of recomputing them.
 
 use crate::fields::MpdataFields;
 use crate::graph::MpdataProblem;
@@ -58,7 +59,8 @@ pub struct IslandsExecutor<'p> {
     teams: TeamSpec,
     problem: MpdataProblem,
     partition: PartitionKind,
-    config: PlanConfig,
+    /// Plan settings; the presets set the fields that have no setter.
+    pub(crate) config: PlanConfig,
     /// Cached execution plan, rebuilt whenever its key (domain,
     /// partition, config) changes.
     plan: Mutex<Option<StepPlan>>,
@@ -231,6 +233,7 @@ impl<'p> IslandsExecutor<'p> {
 mod tests {
     use super::*;
     use crate::fields::{gaussian_pulse, random_fields, rotating_cone};
+    use crate::plan::HaloPolicy;
     use crate::reference::ReferenceExecutor;
     use stencil_engine::rng::Xoshiro256pp;
     use stencil_engine::BlockPlanner;
@@ -240,10 +243,32 @@ mod tests {
         SchedulePolicy::Dynamic { chunks_per_rank }
     }
 
+    /// `exec` under the exchange halo policy (scenario 1): the
+    /// `ExchangeExecutor` preset's configuration, here also on explicit
+    /// partitions and dynamic schedules the preset does not expose.
+    fn exchanging(mut exec: IslandsExecutor<'_>) -> IslandsExecutor<'_> {
+        exec.config.halo = HaloPolicy::Exchange;
+        exec
+    }
+
+    /// One step of an exchange executor, pinning that its plan never
+    /// re-zeroes scratch: the copies cover every margin read.
+    fn exchange_step(exec: &IslandsExecutor<'_>, f: &MpdataFields) -> Array3 {
+        let got = exec.step(f).unwrap();
+        let slot = exec.plan.lock().unwrap();
+        assert!(
+            slot.as_ref().unwrap().refill_is_empty(),
+            "exchange plan refills"
+        );
+        got
+    }
+
     #[test]
     fn matches_reference_bitwise_variant_a() {
         // One island ((3+1)D) across block sizes from many blocks to
-        // one, then the multi-island shapes.
+        // one, then the multi-island shapes — each of those also under
+        // halo exchange, which must equal both the reference and the
+        // recomputing islands.
         let d = Region3::of_extent(24, 9, 5);
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         let f = random_fields(&mut rng, d, 0.7);
@@ -259,15 +284,19 @@ mod tests {
         ] {
             let pool = WorkerPool::new(workers);
             let spec = TeamSpec::even(workers, teams);
-            let got = IslandsExecutor::new(&pool, spec, Axis::I)
-                .cache_bytes(cache)
-                .step(&f)
-                .unwrap();
-            assert_eq!(
-                got.max_abs_diff(&expect),
-                0.0,
+            let exec = IslandsExecutor::new(&pool, spec, Axis::I).cache_bytes(cache);
+            let got = exec.step(&f).unwrap();
+            assert!(
+                got.bits_eq(&expect),
                 "{workers} workers / {teams} islands / cache {cache} diverged"
             );
+            if teams > 1 {
+                let exchanged = exchange_step(&exchanging(exec), &f);
+                assert!(
+                    exchanged.bits_eq(&got),
+                    "{workers} workers / {teams} exchange islands diverged"
+                );
+            }
         }
     }
 
@@ -277,11 +306,11 @@ mod tests {
         let f = gaussian_pulse(d, (0.2, 0.2, 0.0));
         let expect = ReferenceExecutor::new().step(&f);
         let pool = WorkerPool::new(6);
-        let got = IslandsExecutor::new(&pool, TeamSpec::even(6, 3), Axis::J)
-            .cache_bytes(48 * 1024)
-            .step(&f)
-            .unwrap();
-        assert_eq!(got.max_abs_diff(&expect), 0.0);
+        let exec =
+            IslandsExecutor::new(&pool, TeamSpec::even(6, 3), Axis::J).cache_bytes(48 * 1024);
+        let got = exec.step(&f).unwrap();
+        assert!(got.bits_eq(&expect));
+        assert!(exchange_step(&exchanging(exec), &f).bits_eq(&expect));
     }
 
     #[test]
@@ -291,12 +320,20 @@ mod tests {
         ReferenceExecutor::new().run(&mut expect, 3);
         let pool = WorkerPool::new(4);
         for teams in [2, 1] {
-            let mut f = rotating_cone(d, 0.25);
-            IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
-                .cache_bytes(48 * 1024)
-                .run(&mut f, 3)
-                .unwrap();
-            assert_eq!(f.x.max_abs_diff(&expect.x), 0.0, "{teams} islands");
+            // Scenario 1 (exchange) and scenario 2 (recompute) must
+            // agree exactly — the paper's two parallelizations of the
+            // same computation.
+            for exchange in [false, true] {
+                let mut f = rotating_cone(d, 0.25);
+                let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
+                    .cache_bytes(48 * 1024);
+                let exec = if exchange { exchanging(exec) } else { exec };
+                exec.run(&mut f, 3).unwrap();
+                assert!(
+                    f.x.bits_eq(&expect.x),
+                    "{teams} islands, exchange={exchange}"
+                );
+            }
         }
     }
 
@@ -338,12 +375,14 @@ mod tests {
         for half_i in d.split(Axis::I, 2) {
             parts.extend(half_i.split(Axis::J, 2));
         }
-        let got = IslandsExecutor::new(&pool, TeamSpec::even(4, 4), Axis::I)
+        let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 4), Axis::I)
             .with_partition(parts)
-            .cache_bytes(64 * 1024)
-            .step(&f)
-            .unwrap();
-        assert_eq!(got.max_abs_diff(&expect), 0.0);
+            .cache_bytes(64 * 1024);
+        assert!(exec.step(&f).unwrap().bits_eq(&expect));
+        // Under exchange, each island's corner margin cells belong to
+        // its diagonal neighbour: a copy table without diagonal pieces
+        // would leave them zero.
+        assert!(exchange_step(&exchanging(exec), &f).bits_eq(&expect));
     }
 
     #[test]
@@ -366,17 +405,26 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(11);
         let f = random_fields(&mut rng, d, 0.7);
         let expect = ReferenceExecutor::new().step(&f);
-        for (teams, chunks) in [(2, 1), (2, 2), (2, 4), (1, 3)] {
+        for (teams, chunks, exchange) in [
+            (2, 1, false),
+            (2, 2, false),
+            (2, 4, false),
+            (1, 3, false),
+            (2, 3, true),
+            (4, 2, true),
+        ] {
             let pool = WorkerPool::new(4);
-            let got = IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
+            let exec = IslandsExecutor::new(&pool, TeamSpec::even(4, teams), Axis::I)
                 .cache_bytes(64 * 1024)
-                .schedule(dynamic(chunks))
-                .step(&f)
-                .unwrap();
-            assert_eq!(
-                got.max_abs_diff(&expect),
-                0.0,
-                "{teams} islands, dynamic({chunks}) diverged"
+                .schedule(dynamic(chunks));
+            let got = if exchange {
+                exchange_step(&exchanging(exec), &f)
+            } else {
+                exec.step(&f).unwrap()
+            };
+            assert!(
+                got.bits_eq(&expect),
+                "{teams} islands, dynamic({chunks}), exchange={exchange} diverged"
             );
         }
     }
@@ -707,14 +755,34 @@ mod tests {
 
     #[test]
     fn more_islands_than_slabs_still_correct() {
-        let d = Region3::of_extent(5, 6, 4);
-        let f = gaussian_pulse(d, (0.2, 0.1, 0.0));
-        let pool = WorkerPool::new(8);
-        let got = IslandsExecutor::new(&pool, TeamSpec::even(8, 8), Axis::I)
-            .cache_bytes(64 * 1024)
-            .step(&f)
-            .unwrap();
-        let expect = ReferenceExecutor::new().step(&f);
-        assert_eq!(got.max_abs_diff(&expect), 0.0);
+        // Surplus islands own empty parts. Under exchange they must
+        // still pass every per-stage global barrier, or the run hangs.
+        for (islands, width, exchange) in [(8, 5, false), (6, 3, true)] {
+            let d = Region3::of_extent(width, 8, 4);
+            let f = gaussian_pulse(d, (0.2, 0.1, 0.0));
+            let pool = WorkerPool::new(islands);
+            let exec = IslandsExecutor::new(&pool, TeamSpec::even(islands, islands), Axis::I)
+                .cache_bytes(64 * 1024);
+            let got = if exchange {
+                exchange_step(&exchanging(exec), &f)
+            } else {
+                exec.step(&f).unwrap()
+            };
+            let expect = ReferenceExecutor::new().step(&f);
+            assert!(
+                got.bits_eq(&expect),
+                "{islands} islands, exchange={exchange}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exchange halo policy")]
+    fn exchange_rejects_step_fusion() {
+        let d = Region3::of_extent(12, 8, 4);
+        let f = gaussian_pulse(d, (0.2, 0.0, 0.0));
+        let pool = WorkerPool::new(2);
+        let exec = IslandsExecutor::new(&pool, TeamSpec::even(2, 2), Axis::I).fuse_steps(2);
+        let _ = exchanging(exec).step(&f);
     }
 }

@@ -18,16 +18,17 @@
 //!   one island (work team) per processor, each running (3+1)D on its
 //!   part and *recomputing* halo elements instead of communicating
 //!   within a time step. Its settings are one [`PlanConfig`] (cache
-//!   budget, split axis, schedule, step fusion, tiling).
+//!   budget, split axis, schedule, step fusion, tiling, halo policy).
 //! * the pure (3+1)D decomposition — `IslandsExecutor` with a single
 //!   island spanning the pool (`TeamSpec::even(n, 1)`): cache-sized
 //!   blocks, all 17 stages fused per block, all cores share each block.
 //! * [`OriginalExecutor`] — the paper's "Original": a preset with one
 //!   team and one whole-domain block, so every stage is a parallel
 //!   sweep with intermediates in main memory.
-//! * [`ExchangeExecutor`] — islands that copy halos from their
-//!   neighbours after every stage instead of recomputing them (its own
-//!   executor, not yet a preset).
+//! * [`ExchangeExecutor`] — Fig. 1's scenario 1: a preset whose islands
+//!   compute exactly their own parts and copy halos from their
+//!   neighbours after every stage instead of recomputing them
+//!   ([`HaloPolicy::Exchange`]).
 //!
 //! ## Quickstart
 //!
@@ -46,19 +47,17 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod diagnostics;
-mod exchange;
 mod exec;
 mod fields;
 mod graph;
 mod islands;
 mod kernels;
 mod kernels_fast;
-mod original;
 mod plan;
+mod presets;
 mod reference;
 
 pub use diagnostics::{error_norms, CflViolation, ErrorNorms};
-pub use exchange::ExchangeExecutor;
 pub use exec::rank_slice;
 pub use fields::{gaussian_pulse, random_fields, rotating_cone, MpdataFields, EPS};
 pub use graph::{
@@ -67,6 +66,6 @@ pub use graph::{
 };
 pub use islands::IslandsExecutor;
 pub use kernels::{apply_kind, apply_kind_scalar, apply_stage, Boundary};
-pub use original::OriginalExecutor;
-pub use plan::{PlanConfig, SchedulePolicy, TileMode, DEFAULT_CACHE_BYTES};
+pub use plan::{HaloPolicy, PlanConfig, SchedulePolicy, TileMode, DEFAULT_CACHE_BYTES};
+pub use presets::{ExchangeExecutor, OriginalExecutor};
 pub use reference::ReferenceExecutor;

@@ -10,7 +10,12 @@
 //!   cache-sized blocks;
 //! * *Original* ([`crate::OriginalExecutor`]) — a single team and a
 //!   single whole-domain block (`cache_bytes = usize::MAX`), split
-//!   along `I`.
+//!   along `I`;
+//! * *exchange* ([`crate::ExchangeExecutor`], the paper's scenario 1) —
+//!   one team per island under [`HaloPolicy::Exchange`]: each island
+//!   computes exactly its part of every stage and copies its halo
+//!   margins from the neighbours' stores after every stage but the
+//!   last.
 //!
 //! A [`StepPlan`] hoists everything but the kernels out of the step
 //! loop:
@@ -28,6 +33,21 @@
 //! * `run` ping-pongs two persistent full-domain arrays (`cur`/`out`)
 //!   by pointer swap under the once-per-epoch global barrier, instead
 //!   of allocating `Array3::zeros(domain)` and copying back per step.
+//!
+//! # Halo exchange (`HaloPolicy::Exchange`)
+//!
+//! An exchange plan has one epoch per stage over `part ∩ base_regions[s]`
+//! (no wavefront blocking, no enlargement). Each team's store spans its
+//! part plus a margin of the widest single-stage input halo, clipped to
+//! the domain. After every non-final stage a plan-time copy table lists
+//! the pieces `(field, hull ∩ neighbour part, neighbour)` the team
+//! copies store to store, diagonal neighbours included. The replay
+//! fences such an epoch with a global barrier (every neighbour has
+//! finished the stage), then the team's ranks copy their share of the
+//! pieces, then a team barrier publishes the margins to the next stage.
+//! Every team, empty parts included, passes every global barrier. The
+//! coverage analysis counts the copies as writes, so the refill stays
+//! empty for the MPDATA graphs.
 //!
 //! Box-shaped stage regions cannot express periodic wrap reads, so the
 //! engine accepts [`Boundary::Periodic`] only for plans with one part,
@@ -68,10 +88,10 @@ use crate::kernels::Boundary;
 use std::fmt;
 use std::sync::Arc;
 use stencil_engine::{
-    choose_tile, tile_grid, Array3, Axis, BlockPlanner, FieldId, FieldRole, PlanBlocksError,
-    Region3, StageDef, StageGraph,
+    choose_tile, tile_grid, Array3, Axis, BlockPlan, BlockPlanner, FieldId, FieldRole, Halo3,
+    PlanBlocksError, Region3, StageDef, StageGraph,
 };
-use work_scheduler::{ChunkQueue, DisjointCell, TeamCtx, TeamSpec, WorkerPool};
+use work_scheduler::{AccessTracker, ChunkQueue, DisjointCell, TeamCtx, TeamSpec, WorkerPool};
 
 /// How each epoch's work units are assigned to the ranks of a team.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -134,6 +154,21 @@ pub enum TileMode {
     },
 }
 
+/// Where an island's halo cells come from — Fig. 1's two scenarios.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum HaloPolicy {
+    /// Scenario 2, the paper's islands: every island recomputes the halo
+    /// cells its blocks need, so islands meet only once per step.
+    #[default]
+    Recompute,
+    /// Scenario 1: every island computes exactly its own part of each
+    /// stage and, after every stage but the last, copies its halo
+    /// margins from the neighbouring islands between a global and a team
+    /// barrier. One unfused, untiled step per epoch; the cache budget is
+    /// unused.
+    Exchange,
+}
+
 /// Default cache budget per block: the 16 MiB L3 of the paper's Xeon
 /// E5-4627v2.
 pub const DEFAULT_CACHE_BYTES: usize = 16 << 20;
@@ -156,11 +191,14 @@ pub struct PlanConfig {
     pub fuse_steps: usize,
     /// Cache-tiled stage fusion.
     pub tile: TileMode,
+    /// Recompute halos (scenario 2) or exchange them (scenario 1).
+    pub halo: HaloPolicy,
 }
 
 impl Default for PlanConfig {
     /// The library defaults: [`DEFAULT_CACHE_BYTES`], sweeps split
-    /// along `J`, static schedule, no fusion, no tiling.
+    /// along `J`, static schedule, no fusion, no tiling, recomputed
+    /// halos.
     fn default() -> Self {
         PlanConfig {
             cache_bytes: DEFAULT_CACHE_BYTES,
@@ -168,6 +206,7 @@ impl Default for PlanConfig {
             schedule: SchedulePolicy::Static,
             fuse_steps: 1,
             tile: TileMode::Off,
+            halo: HaloPolicy::Recompute,
         }
     }
 }
@@ -249,6 +288,18 @@ struct EpochPlan {
     /// whole widened halo band), precomputed so traced kernels can
     /// report it without any plan-time math on the hot path.
     units_extra: Vec<u64>,
+    /// How the epoch ends: `None` — a team barrier; `Some(pieces)` —
+    /// the exchange fence: a global barrier, the team's halo copies
+    /// (strided over its ranks), then a team barrier.
+    copies: Option<Vec<CopyPiece>>,
+}
+
+/// One halo piece of an exchange plan: `region` of `field`, copied from
+/// team `source`'s store into this team's margin.
+struct CopyPiece {
+    field: FieldId,
+    region: Region3,
+    source: usize,
 }
 
 /// One `(i, j)` tile of a fused-step target under [`TileMode`]: the
@@ -308,6 +359,31 @@ struct TeamPlan {
     /// tiles (dynamic tiled plans only). Same reset contract as
     /// `queues`.
     tile_queues: Vec<ChunkQueue>,
+}
+
+impl TeamPlan {
+    /// The external inputs of fused step `ts` of an epoch that starts at
+    /// `first_ts`: `ext` itself for the first step; afterwards the
+    /// advected field is the team-private slot the previous fused step
+    /// just produced. Hold the returned tracker while the view is used.
+    fn step_ext<'a>(
+        &'a self,
+        ext: ExtFields<'a>,
+        ts: usize,
+        first_ts: usize,
+    ) -> (ExtFields<'a>, Option<AccessTracker<'a, Array3>>) {
+        if ts == first_ts {
+            return (ext, None);
+        }
+        let slots = self.xslots.as_ref().expect("fused plans allocate x slots");
+        let slot = &slots[(ts - 1) % 2];
+        let tracker = slot.track_read();
+        // SAFETY: the team barrier ending fused step ts-1 fences its slot
+        // writes; within this step the slot is only read (this step
+        // writes the *other* slot or the shared output).
+        let x = unsafe { slot.get_ref() };
+        (ExtFields { x, ..ext }, Some(tracker))
+    }
 }
 
 /// A fully materialized, reusable execution plan for one time step (or,
@@ -410,6 +486,11 @@ fn uncovered_reads(
             for &o in &st.outputs {
                 written[o.index()].push(ep.region);
             }
+        }
+        // The halo copies land after the epoch's fence, before the next
+        // epoch reads.
+        for c in ep.copies.iter().flatten() {
+            written[c.field.index()].push(c.region);
         }
     }
     gaps
@@ -531,6 +612,10 @@ impl StepPlan {
     ///
     /// Returns [`PlanBlocksError`] when an island's block does not fit
     /// the cache budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an exchange plan asks for step fusion or tiling.
     fn build(
         problem: &MpdataProblem,
         spec: &TeamSpec,
@@ -538,6 +623,13 @@ impl StepPlan {
     ) -> Result<Self, PlanBlocksError> {
         let domain = key.domain;
         let k = key.config.fuse_steps.max(1);
+        let exchange = key.config.halo == HaloPolicy::Exchange;
+        assert!(
+            !exchange || (k == 1 && key.config.tile == TileMode::Off),
+            "the exchange halo policy copies halos between the stages of one step: \
+             it cannot fuse time steps or tile stage chains (fuse_steps must be 1 \
+             and tiling off)"
+        );
         let parts = key.partition.parts(domain, spec.team_count());
         let graph = problem.graph();
         let xout = problem.xout();
@@ -566,6 +658,12 @@ impl StepPlan {
         // same baseline: everything beyond `part ∩ region_s(domain)`
         // is recomputation some island performs anyway.
         let base_regions = graph.required_regions(domain, domain);
+        // Exchange stores span each part plus this margin: the widest
+        // single-stage input halo.
+        let margin = graph
+            .stages()
+            .iter()
+            .fold(Halo3::ZERO, |h, st| h.max(st.input_halo()));
         let mut teams = Vec::with_capacity(parts.len());
         let mut stores = Vec::with_capacity(parts.len());
         let mut tile_stores = Vec::with_capacity(parts.len());
@@ -581,7 +679,9 @@ impl StepPlan {
             let mut must_zero = Vec::new();
             let mut tiles: Vec<Vec<TileTask>> = Vec::new();
             let mut tile_queues = Vec::new();
-            if !part.is_empty() {
+            // Exchange teams with empty parts still replay (empty)
+            // epochs: every team must pass every global barrier.
+            if exchange || !part.is_empty() {
                 let step_parts = fused_step_targets(graph, x, part, domain, k);
                 if let Some((ti, tj)) = tile_extents {
                     // Tiled: cut each fused-step target into the
@@ -632,16 +732,31 @@ impl StepPlan {
                         rank_stores.push(rs);
                     }
                 } else {
-                    // One wavefront blocking per fused step; the scratch
-                    // store spans the union of their hulls (steps reuse the
-                    // same scratch, refilled before each fused step).
-                    let mut blockings = Vec::with_capacity(k);
+                    // The blocks of each fused step and the hull the
+                    // scratch store spans.
+                    let mut blockings: Vec<Vec<BlockPlan>> = Vec::with_capacity(k);
                     let mut hull = Region3::empty();
-                    for &sp in &step_parts {
-                        let blocking = BlockPlanner::new(key.config.cache_bytes)
-                            .plan_wavefront(graph, sp, domain)?;
-                        hull = hull.hull(blocking.hull());
-                        blockings.push(blocking);
+                    if exchange {
+                        // One block computing exactly the part; the
+                        // copies fill the margin (clipped to the domain).
+                        blockings.push(vec![BlockPlan {
+                            output_region: part,
+                            stage_regions: base_regions.iter().map(|r| r.intersect(part)).collect(),
+                        }]);
+                        if !part.is_empty() {
+                            hull = part.expand(margin).intersect(domain);
+                        }
+                    } else {
+                        // One wavefront blocking per fused step; the
+                        // store spans the union of their hulls (steps
+                        // reuse the same scratch, refilled before each
+                        // fused step).
+                        for &sp in &step_parts {
+                            let blocking = BlockPlanner::new(key.config.cache_bytes)
+                                .plan_wavefront(graph, sp, domain)?;
+                            hull = hull.hull(blocking.hull());
+                            blockings.push(blocking.blocks);
+                        }
                     }
                     if !hull.is_empty() {
                         for st in graph.stages() {
@@ -653,9 +768,9 @@ impl StepPlan {
                         }
                     }
                     let n_units = key.config.schedule.units_for(size);
-                    for (ts, blocking) in blockings.iter().enumerate() {
+                    for (ts, blocks) in blockings.iter().enumerate() {
                         let start = epochs.len();
-                        for (b, block) in blocking.blocks.iter().enumerate() {
+                        for (b, block) in blocks.iter().enumerate() {
                             for (s, st) in graph.stages().iter().enumerate() {
                                 let region = block.stage_regions[st.id.index()];
                                 let is_final = st.outputs == [xout];
@@ -674,6 +789,26 @@ impl StepPlan {
                                         (mine.cells() - mine.intersect(needed).cells()) as u64
                                     })
                                     .collect();
+                                // Exchange: after every non-final stage,
+                                // this team's margin pieces, one per
+                                // (neighbour, output field).
+                                let copies = (exchange && !is_final).then(|| {
+                                    let mut pieces = Vec::new();
+                                    for (o, &po) in parts.iter().enumerate() {
+                                        let region = hull.intersect(po);
+                                        if o == t || region.is_empty() {
+                                            continue;
+                                        }
+                                        for &field in &st.outputs {
+                                            pieces.push(CopyPiece {
+                                                field,
+                                                region,
+                                                source: o,
+                                            });
+                                        }
+                                    }
+                                    pieces
+                                });
                                 epochs.push(EpochPlan {
                                     stage: s,
                                     kind: problem.kind(st.id),
@@ -683,6 +818,7 @@ impl StepPlan {
                                     region,
                                     units,
                                     units_extra,
+                                    copies,
                                 });
                             }
                         }
@@ -808,25 +944,7 @@ impl StepPlan {
                 // Publish the refill to the other ranks.
                 ctx.team_barrier();
             }
-            // The advected input of this fused step: the shared buffer
-            // for the epoch's first step, afterwards the team-private
-            // slot the previous fused step just produced.
-            let mut _slot_read = None;
-            let step_ext = if ts == first_ts {
-                ext
-            } else {
-                let slots = team.xslots.as_ref().expect("fused plans allocate x slots");
-                let slot = &slots[(ts - 1) % 2];
-                _slot_read = Some(slot.track_read());
-                ExtFields {
-                    // SAFETY: the team barrier ending fused step ts-1
-                    // fences its slot writes; within this step the slot
-                    // is only read (this step writes the *other* slot
-                    // or the shared output).
-                    x: unsafe { slot.get_ref() },
-                    ..ext
-                }
-            };
+            let (step_ext, _slot_read) = team.step_ext(ext, ts, first_ts);
             let (lo, hi) = team.step_bounds.get(ts).copied().unwrap_or((0, 0));
             match self.key.config.schedule {
                 SchedulePolicy::Static => {
@@ -835,9 +953,7 @@ impl StepPlan {
                         let dest = self.final_dest(team, ep);
                         // Static: unit index = rank, exactly one per epoch.
                         self.run_unit(ep, st, store, ctx.rank, step_ext, domain, bc, dest);
-                        // Intra-island synchronization only — this is the
-                        // whole point of the approach.
-                        ctx.team_barrier();
+                        self.end_epoch(ctx, ep);
                     }
                 }
                 SchedulePolicy::Dynamic { .. } => {
@@ -851,11 +967,44 @@ impl StepPlan {
                         while let Some(u) = q.claim() {
                             self.run_unit(ep, st, store, u, step_ext, domain, bc, dest);
                         }
-                        ctx.team_barrier();
+                        self.end_epoch(ctx, ep);
                     }
                 }
             }
         }
+    }
+
+    /// Ends an epoch. Recompute plans synchronize within the island only
+    /// — the whole point of the approach. After a non-final stage of an
+    /// exchange plan the islands meet at a global barrier (every
+    /// neighbour has written the stage), this rank copies its stride of
+    /// the team's halo pieces, and the team barrier publishes the
+    /// margins to the next stage.
+    #[inline]
+    fn end_epoch(&self, ctx: &TeamCtx, ep: &EpochPlan) {
+        if let Some(pieces) = &ep.copies {
+            ctx.global_barrier();
+            let t0 = if ctx.rank < pieces.len() {
+                islands_trace::now()
+            } else {
+                None
+            };
+            let store = &self.stores[ctx.team];
+            for p in pieces.iter().skip(ctx.rank).step_by(ctx.size) {
+                store.copy_from(&self.stores[p.source], p.field, p.region);
+            }
+            if let Some(t0) = t0 {
+                islands_trace::record(
+                    islands_trace::SpanKind::Exchange,
+                    t0,
+                    islands_trace::now_ns(),
+                    ep.stage.min(usize::from(u16::MAX)) as u16,
+                    ep.block,
+                    [0; 3],
+                );
+            }
+        }
+        ctx.team_barrier();
     }
 
     /// Tiled replay of one fused epoch: each tile of each fused-step
@@ -887,25 +1036,7 @@ impl StepPlan {
         let rank_stores = &self.tile_stores[ctx.team];
         for ts in first_ts..k {
             islands_trace::set_step(base_step + (ts - first_ts) as u32);
-            // The advected input of this fused step: the shared buffer
-            // for the epoch's first step, afterwards the team-private
-            // slot the previous fused step just produced.
-            let mut _slot_read = None;
-            let step_ext = if ts == first_ts {
-                ext
-            } else {
-                let slots = team.xslots.as_ref().expect("fused plans allocate x slots");
-                let slot = &slots[(ts - 1) % 2];
-                _slot_read = Some(slot.track_read());
-                ExtFields {
-                    // SAFETY: the team barrier ending fused step ts-1
-                    // fences its slot writes; within this step the slot
-                    // is only read (this step writes the *other* slot
-                    // or the shared output).
-                    x: unsafe { slot.get_ref() },
-                    ..ext
-                }
-            };
+            let (step_ext, _slot_read) = team.step_ext(ext, ts, first_ts);
             let tasks = team.tiles.get(ts).map_or(&[][..], |v| v.as_slice());
             if !tasks.is_empty() {
                 let store = &rank_stores[ctx.rank];
@@ -975,9 +1106,17 @@ impl StepPlan {
                 // pairwise disjoint; earlier steps' x slots are
                 // team-private.
                 let out_arr = unsafe { dest.get_mut() };
-                store.apply_into(st, self.stage_kinds[s], domain, bc, mine, out_arr, ext);
+                store.apply(
+                    st,
+                    self.stage_kinds[s],
+                    domain,
+                    bc,
+                    mine,
+                    ext,
+                    Some(out_arr),
+                );
             } else {
-                store.apply(st, self.stage_kinds[s], domain, bc, mine, ext);
+                store.apply(st, self.stage_kinds[s], domain, bc, mine, ext, None);
             }
             if let Some(t0) = t0 {
                 islands_trace::record(
@@ -1025,10 +1164,10 @@ impl StepPlan {
                 // SAFETY: all concurrent writers cover mutually
                 // disjoint regions.
                 let out_arr = unsafe { dest.get_mut() };
-                store.apply_into(st, ep.kind, domain, bc, mine, out_arr, ext);
+                store.apply(st, ep.kind, domain, bc, mine, ext, Some(out_arr));
             }
         } else {
-            store.apply(st, ep.kind, domain, bc, mine, ext);
+            store.apply(st, ep.kind, domain, bc, mine, ext, None);
         }
         if let Some(t0) = t0 {
             islands_trace::record(
@@ -1050,6 +1189,13 @@ impl StepPlan {
             && self.key.config.fuse_steps <= 1
             && self.teams.len() == 1
             && self.teams[0].epochs.len() == self.stage_kinds.len()
+    }
+
+    /// Whether no team re-zeroes scratch before a step: the coverage
+    /// analysis proved every scratch read written first.
+    #[cfg(test)]
+    pub(crate) fn refill_is_empty(&self) -> bool {
+        self.teams.iter().all(|t| t.must_zero.is_empty())
     }
 
     /// Rewinds every dynamic epoch queue to full (one relaxed store

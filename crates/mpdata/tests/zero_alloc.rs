@@ -1,7 +1,7 @@
 //! Zero-allocation steady state: after the first step has built the
 //! execution plan, every further step of [`IslandsExecutor::run`] — and
-//! of [`OriginalExecutor::run`], a preset of the same engine — must
-//! replay it without touching the heap.
+//! of [`OriginalExecutor::run`] and [`ExchangeExecutor::run`], presets
+//! of the same engine — must replay it without touching the heap.
 //!
 //! The pin works by installing a counting [`GlobalAlloc`] wrapper for
 //! this test binary and comparing the allocation counts of a warmed
@@ -13,7 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mpdata::{gaussian_pulse, IslandsExecutor, OriginalExecutor, SchedulePolicy, TileMode};
+use mpdata::{
+    gaussian_pulse, ExchangeExecutor, IslandsExecutor, OriginalExecutor, SchedulePolicy, TileMode,
+};
 use stencil_engine::{Axis, Region3};
 use work_scheduler::{TeamSpec, WorkerPool};
 
@@ -223,6 +225,33 @@ fn steady_state_steps_do_not_allocate() {
     );
     #[cfg(debug_assertions)]
     let _ = (orig_one, orig_many);
+
+    // Same pin for the Exchange preset (scenario 1): the margins, the
+    // copy tables and the stores are built into the plan, and each
+    // per-stage halo copy moves cells store to store.
+    let exchange = ExchangeExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I);
+    let before = allocs();
+    exchange.run(&mut fields, 1);
+    let exch_cold = allocs() - before;
+    assert!(exch_cold > 0, "cold exchange run should build its plan");
+    exchange.run(&mut fields, 2);
+
+    let before = allocs();
+    exchange.run(&mut fields, 1);
+    let exch_one = allocs() - before;
+
+    let before = allocs();
+    exchange.run(&mut fields, STEPS);
+    let exch_many = allocs() - before;
+
+    #[cfg(not(debug_assertions))]
+    assert!(
+        exch_many <= exch_one + 4,
+        "exchange steps 2..{STEPS} allocated: run({STEPS}) made {exch_many} \
+         allocations vs {exch_one} for run(1)"
+    );
+    #[cfg(debug_assertions)]
+    let _ = (exch_one, exch_many);
 
     // Same pin with the live telemetry plane running: a trace session
     // open AND the background collector attached. Ring slots are

@@ -143,7 +143,7 @@ pub enum SpanKind {
     /// A whole pool broadcast, recorded on the caller thread
     /// (island = [`NO_ISLAND`]). `aux = [workers, 0, 0]`.
     Dispatch,
-    /// Halo extract / blit traffic in the exchange executor.
+    /// Halo copies of the exchange plans (scenario 1).
     Exchange,
 }
 

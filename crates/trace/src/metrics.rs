@@ -45,7 +45,7 @@ pub struct IslandMetrics {
     pub swap_ns: u64,
     /// Plan scratch refill/zero time.
     pub refill_ns: u64,
-    /// Halo extract/blit time (exchange executor only).
+    /// Halo copy time (exchange plans only).
     pub exchange_ns: u64,
     /// Cells computed by kernel sweeps.
     pub computed_cells: u64,
