@@ -38,7 +38,10 @@
 //!   the copies read neighbour scratch the neighbour is still writing;
 //! * `exchange-missing-margin` — in an exchange plan, one halo piece is
 //!   dropped from team 0's first copy, so the next stage reads margin
-//!   cells nobody wrote.
+//!   cells nobody wrote;
+//! * `window-too-narrow` — in a multi-block plan, one field's window at
+//!   one block loses its lowest kept plane, so the slide forgets values
+//!   the block still reads.
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 tracing unavailable
 //! (release build — rebuild in debug).
@@ -54,6 +57,10 @@ use stencil_engine::{balanced_cuts, trace, Axis, CostModel, Offset3, Range1, Reg
 /// Cache budget used for all disjointness plans — small enough to force
 /// several wavefront blocks per island on the lint domains.
 const CACHE_BYTES: usize = 64 * 1024;
+
+/// A tighter budget that cuts every lint island into at least three
+/// wavefront blocks, so the scratch windows slide.
+const WINDOW_CACHE_BYTES: usize = 32 * 1024;
 
 /// At most this many diagnostics are printed per run.
 const PRINT_CAP: usize = 40;
@@ -104,7 +111,8 @@ fn run(args: &[String]) -> i32 {
             eprintln!(
                 "usage: stencil-lint [--mutant drop-offset|overlap-partition\
                  |overlap-ranks|stale-output|overlap-chunks|fused-overlap-step2\
-                 |tile-halo-too-narrow|exchange-unfenced-copy|exchange-missing-margin]"
+                 |tile-halo-too-narrow|exchange-unfenced-copy|exchange-missing-margin\
+                 |window-too-narrow]"
             );
             return 2;
         }
@@ -120,6 +128,7 @@ fn run(args: &[String]) -> i32 {
         Some("tile-halo-too-narrow") => mutant_tile_halo_too_narrow(),
         Some("exchange-unfenced-copy") => mutant_exchange_unfenced_copy(),
         Some("exchange-missing-margin") => mutant_exchange_missing_margin(),
+        Some("window-too-narrow") => mutant_window_too_narrow(),
         Some(other) => {
             eprintln!("stencil-lint: unknown mutant `{other}`");
             return 2;
@@ -322,6 +331,34 @@ fn full_matrix() -> Vec<Diagnostic> {
                 found.len()
             );
             all.extend(found);
+        }
+
+        // Sliding scratch windows: a budget that cuts the islands into
+        // several wavefront blocks, so every scratch window slides from
+        // block to block and rule 4 proves no slide forgets a value a
+        // later block reads — unfused and fused, static and dynamic.
+        for (desc, parts) in &partitions {
+            let sizes = vec![2; parts.len()];
+            for (fuse, schedule) in [
+                (1, SchedulePolicy::Static),
+                (1, SchedulePolicy::Dynamic { chunks_per_rank: 3 }),
+                (2, SchedulePolicy::Static),
+                (3, SchedulePolicy::Static),
+            ] {
+                let windowed = PlanConfig {
+                    cache_bytes: WINDOW_CACHE_BYTES,
+                    fuse_steps: fuse,
+                    schedule,
+                    ..config(Axis::J)
+                };
+                let found = check_disjointness(&plan(domain, parts, &sizes, &windowed));
+                println!(
+                    "disjointness domain={domain:?} partition={desc} cache={WINDOW_CACHE_BYTES} \
+                     fuse={fuse} schedule={schedule:?}: {} diagnostic(s)",
+                    found.len()
+                );
+                all.extend(found);
+            }
         }
 
         // Scenario 1: the exchange plans over the same partitions —
@@ -552,5 +589,32 @@ fn mutant_exchange_missing_margin() -> Vec<Diagnostic> {
         .find(|ep| ep.label.contains("/ copy "))
         .expect("exchange plans copy halos");
     copy.per_rank.remove(0);
+    check_disjointness(&plan)
+}
+
+fn mutant_window_too_narrow() -> Vec<Diagnostic> {
+    let domain = Region3::of_extent(16, 12, 6);
+    let parts = domain.split(Axis::I, 2);
+    let windowed = PlanConfig {
+        cache_bytes: WINDOW_CACHE_BYTES,
+        ..config(Axis::J)
+    };
+    let mut plan = plan(domain, &parts, &[2, 2], &windowed);
+    // Shave the lowest plane off team 0's first slid window that keeps
+    // planes of the previous block's: the slide forgets that plane's
+    // values one block early, while the block still reads them.
+    let mut prev: Vec<Option<Region3>> = vec![None; plan.field_names.len()];
+    let shaved = plan.teams[0]
+        .epochs
+        .iter_mut()
+        .flat_map(|ep| &mut ep.windows)
+        .find(|w| {
+            let kept = w.keep && prev[w.field].is_some_and(|p| p.i.hi > w.region.i.lo);
+            prev[w.field] = Some(w.region);
+            kept
+        })
+        .expect("multi-block plans slide windows");
+    let r = shaved.region.i;
+    shaved.region.i = Range1::new(r.lo + 1, r.hi);
     check_disjointness(&plan)
 }

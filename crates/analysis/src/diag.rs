@@ -31,6 +31,9 @@ pub enum DiagnosticCode {
     /// reused (persistent-plan) output buffers it would leak the
     /// previous step's value.
     UncoveredOutput,
+    /// A block accesses a scratch cell outside the window its team's
+    /// store holds for that field while the block runs.
+    OutOfWindow,
 }
 
 impl fmt::Display for DiagnosticCode {
@@ -46,6 +49,7 @@ impl fmt::Display for DiagnosticCode {
             DiagnosticCode::ExternalWrite => "external-write",
             DiagnosticCode::UncoveredRead => "uncovered-read",
             DiagnosticCode::UncoveredOutput => "uncovered-output",
+            DiagnosticCode::OutOfWindow => "out-of-window",
         };
         f.write_str(s)
     }

@@ -17,9 +17,12 @@
 //!   team's access to it in the same phase;
 //! * external fields are read-only everywhere;
 //! * every read of an island-private (intermediate) field must be
-//!   covered by same-team writes from strictly earlier epochs, and a
-//!   read of another team's scratch (an exchange copy) by its owner's
-//!   writes from strictly earlier global phases;
+//!   covered by same-team writes from strictly earlier epochs that its
+//!   scratch windows kept since (each block's first epoch lists the
+//!   [`Window`]s its team's store holds; entering one forgets the cells
+//!   that slide out), and a read of another team's scratch (an exchange
+//!   copy) by its owner's writes from strictly earlier global phases;
+//! * every access of a windowed field falls inside its block's window;
 //! * the union of all teams' writes to each shared output field must
 //!   cover the whole domain — the executors keep output buffers alive
 //!   across steps (the persistent-plan path re-claims scratch and
@@ -35,9 +38,11 @@
 
 use crate::diag::{Diagnostic, DiagnosticCode};
 use mpdata::{HaloPolicy, MpdataProblem, PlanConfig, SchedulePolicy, TileMode};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use stencil_engine::{
-    choose_tile, tile_grid, BlockPlanner, FieldId, FieldRole, Halo3, PlanBlocksError, Region3,
-    StageDef,
+    choose_tile, tile_grid, Axis, BlockPlanner, FieldId, FieldRole, Halo3, PlanBlocksError, Range1,
+    Region3, StageDef,
 };
 
 /// One planned access of one rank inside an epoch.
@@ -60,8 +65,28 @@ pub struct Epoch {
     /// Global barriers that precede the epoch within the step — its
     /// global phase (always 0 without halo exchange).
     pub phase: usize,
+    /// The scratch windows that open the epoch's block — one per
+    /// island-private field the block touches, on the block's first
+    /// epoch only (empty elsewhere, and for tiled plans).
+    pub windows: Vec<Window>,
     /// Accesses per rank (index = rank).
     pub per_rank: Vec<Vec<PlannedAccess>>,
+}
+
+/// The cells of one scratch field a team's store holds while a block
+/// runs. Entering a window forgets every written cell outside it (all
+/// of them unless `keep`), and every access of the field inside the
+/// block must fall within it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Window {
+    /// Field index (into [`SchedulePlan::field_names`]).
+    pub field: usize,
+    /// The window.
+    pub region: Region3,
+    /// Slid from the previous block's window, keeping the cells both
+    /// share (`false` at the first block of a fused step touching the
+    /// field: its store starts afresh).
+    pub keep: bool,
 }
 
 /// The full schedule of one team (island) for one time step.
@@ -103,7 +128,11 @@ pub struct SchedulePlan {
 ///
 /// * **Untiled** plans get one epoch per `(fused step, wavefront block,
 ///   stage)`, each rank owning its `rank_slice` of the stage region
-///   along `split_axis`. Under [`SchedulePolicy::Dynamic`] every one of
+///   along `split_axis`. Each block's first epoch carries the scratch
+///   windows of the graph's intermediates, derived from the plan's own
+///   accesses by the executor's rule (see [`Window`]); exchange plans
+///   carry one window per team-owned field for the whole step. Under
+///   [`SchedulePolicy::Dynamic`] every one of
 ///   the `ranks × chunks_per_rank` chunks is its own slot: chunk-level
 ///   disjointness implies disjointness under **any** assignment of
 ///   chunks to claiming ranks, which is exactly the freedom dynamic
@@ -236,6 +265,7 @@ pub fn islands_plan(
 
     for (t, (&part, &size)) in parts.iter().zip(team_sizes).enumerate() {
         let mut epochs = Vec::new();
+        let mut step_blocks = Vec::new();
         if !part.is_empty() {
             // Fused-step targets, back to front: step k-1 computes the
             // part itself, step s the hull of step s+1's advected-field
@@ -292,6 +322,7 @@ pub fn islands_plan(
                             epochs.push(Epoch {
                                 label: format!("step {ts} / stage {} (tiles)", st.name),
                                 phase: 0,
+                                windows: Vec::new(),
                                 per_rank,
                             });
                         }
@@ -305,7 +336,9 @@ pub fn islands_plan(
                         };
                         let blocking = BlockPlanner::new(config.cache_bytes)
                             .plan_wavefront(graph, sp, domain)?;
+                        let mut blocks = Vec::with_capacity(blocking.blocks.len());
                         for (b, block) in blocking.blocks.iter().enumerate() {
+                            let first = epochs.len();
                             for st in graph.stages() {
                                 let region = block.stage_regions[st.id.index()];
                                 let per_rank = (0..slots)
@@ -330,17 +363,79 @@ pub fn islands_plan(
                                         st.name
                                     ),
                                     phase: 0,
+                                    windows: Vec::new(),
                                     per_rank,
                                 });
                             }
+                            blocks.push(first..epochs.len());
                         }
+                        step_blocks.push(blocks);
                     }
                 }
             }
+            // The graph's intermediates live in windowed team stores;
+            // the x slots are whole arrays.
+            add_windows(&mut epochs, &step_blocks, |f| f < nf && !plan.shared[f]);
         }
         plan.teams.push(TeamPlan { epochs });
     }
     Ok(plan)
+}
+
+/// Records one team's scratch windows on the first epoch of each block,
+/// derived from the team's own accesses (`steps` holds every fused
+/// step's block epoch ranges; `scratch` selects the windowed fields).
+/// A field's window at a block is the hull of the block's accesses to
+/// it, widened to the field's `J`/`K` extent over the whole plan and
+/// along `I` back to the lowest plane a later block of the fused step
+/// touches and forward to the highest plane an earlier one touched.
+/// The first block of a fused step touching the field starts it afresh.
+fn add_windows(epochs: &mut [Epoch], steps: &[Vec<Range<usize>>], scratch: impl Fn(usize) -> bool) {
+    let mut extent: BTreeMap<usize, Region3> = BTreeMap::new();
+    let mut hulls: Vec<Vec<(usize, BTreeMap<usize, Region3>)>> = Vec::new();
+    for blocks in steps {
+        let mut step = Vec::new();
+        for r in blocks {
+            let mut h: BTreeMap<usize, Region3> = BTreeMap::new();
+            for a in epochs[r.clone()]
+                .iter()
+                .flat_map(|ep| ep.per_rank.iter().flatten())
+                .filter(|a| scratch(a.field) && !a.region.is_empty())
+            {
+                let e = h.entry(a.field).or_insert(a.region);
+                *e = e.hull(a.region);
+            }
+            for (&f, &r) in &h {
+                let e = extent.entry(f).or_insert(r);
+                *e = e.hull(r);
+            }
+            step.push((r.start, h));
+        }
+        hulls.push(step);
+    }
+    for (&f, ext) in &extent {
+        for blocks in &hulls {
+            let touched: Vec<(usize, Range1)> = blocks
+                .iter()
+                .filter_map(|(first, h)| h.get(&f).map(|r| (*first, r.i)))
+                .collect();
+            let mut lows = vec![0; touched.len()];
+            let mut lo = i64::MAX;
+            for (n, (_, r)) in touched.iter().enumerate().rev() {
+                lo = lo.min(r.lo);
+                lows[n] = lo;
+            }
+            let mut hi = i64::MIN;
+            for (n, (&(first, r), &lo)) in touched.iter().zip(&lows).enumerate() {
+                hi = hi.max(r.hi);
+                epochs[first].windows.push(Window {
+                    field: f,
+                    region: ext.with_range(Axis::I, Range1::new(lo, hi)),
+                    keep: n > 0,
+                });
+            }
+        }
+    }
 }
 
 /// Fills `plan.teams` with the exchange (scenario 1) schedule described
@@ -399,6 +494,7 @@ fn exchange_teams(
                 epochs.push(Epoch {
                     label: format!("phase {s} / stage {}{slot_word}", st.name),
                     phase: s,
+                    windows: Vec::new(),
                     per_rank,
                 });
                 if st.outputs == [xout] {
@@ -428,9 +524,15 @@ fn exchange_teams(
                 epochs.push(Epoch {
                     label: format!("phase {} / copy {}", s + 1, st.name),
                     phase: s + 1,
+                    windows: Vec::new(),
                     per_rank: pieces,
                 });
             }
+            // One block: each of the team's own scratch fields keeps
+            // one window for the whole step.
+            let own = |f: usize| plan.owner[f] == Some(t);
+            let block = 0..epochs.len();
+            add_windows(&mut epochs, &[vec![block]], own);
         }
         plan.teams.push(TeamPlan { epochs });
     }
@@ -594,9 +696,10 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
     }
 
     // Rule 4: coverage — island-private reads must resolve to cells the
-    // same team wrote in a strictly earlier epoch; a copy's read of
-    // another team's scratch, to cells the owner wrote in a strictly
-    // earlier global phase.
+    // same team wrote in a strictly earlier epoch and kept in its
+    // scratch windows since; a copy's read of another team's scratch, to
+    // cells the owner wrote in a strictly earlier global phase. Every
+    // access of a windowed field must fall inside the current window.
     let phase_writes: Vec<Vec<(usize, usize, Region3)>> = plan
         .teams
         .iter()
@@ -615,8 +718,35 @@ pub fn check_disjointness(plan: &SchedulePlan) -> Vec<Diagnostic> {
         .collect();
     for (t, team) in plan.teams.iter().enumerate() {
         let mut written: Vec<(usize, Region3)> = Vec::new();
+        let mut window: Vec<Option<Region3>> = vec![None; plan.field_names.len()];
         for ep in &team.epochs {
+            // Entering a window forgets the cells that slide out of it
+            // (all of them when the store starts afresh).
+            for w in &ep.windows {
+                window[w.field] = Some(w.region);
+                written.retain_mut(|(f, r)| {
+                    if *f != w.field {
+                        return true;
+                    }
+                    *r = r.intersect(w.region);
+                    w.keep && !r.is_empty()
+                });
+            }
             for (rank, accs) in ep.per_rank.iter().enumerate() {
+                for a in accs {
+                    if let Some(w) = window[a.field].filter(|w| !w.contains_region(a.region)) {
+                        found.push(Diagnostic {
+                            code: DiagnosticCode::OutOfWindow,
+                            site: format!("team {t} rank {rank} / {}", ep.label),
+                            field: fname(a.field),
+                            detail: format!(
+                                "{} {:?} outside the block's window {w:?}",
+                                if a.write { "writes" } else { "reads" },
+                                a.region
+                            ),
+                        });
+                    }
+                }
                 for rd in accs.iter().filter(|a| !a.write) {
                     if plan.shared[rd.field] {
                         continue; // pre-existing inputs / the output

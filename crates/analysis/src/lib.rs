@@ -42,5 +42,5 @@ pub use conformance::{
 };
 pub use diag::{Diagnostic, DiagnosticCode};
 pub use disjoint::{
-    check_disjointness, islands_plan, Epoch, PlannedAccess, SchedulePlan, TeamPlan,
+    check_disjointness, islands_plan, Epoch, PlannedAccess, SchedulePlan, TeamPlan, Window,
 };

@@ -509,3 +509,85 @@ fn clean_exchange_schedule_stays_clean_as_a_control() {
         .collect();
     assert_eq!(sources, ["t1:f1", "t2:f1", "t3:f1"]);
 }
+
+/// [`config`] at a budget that cuts each island of the 16 × 12 × 6
+/// domain into several wavefront blocks, so scratch windows slide.
+fn windowed(split_axis: Axis) -> PlanConfig {
+    PlanConfig {
+        cache_bytes: 32 * 1024,
+        ..config(split_axis)
+    }
+}
+
+#[test]
+fn shaved_window_is_an_uncovered_read() {
+    // Raise the low end of team 0's first window that keeps planes of
+    // the previous block's by one plane: the slide forgets values the
+    // block still reads.
+    let problem = MpdataProblem::standard();
+    let d = Region3::of_extent(16, 12, 6);
+    let parts = d.split(Axis::I, 2);
+    let mut plan = islands_plan(&problem, d, &parts, &[2, 2], &windowed(Axis::J)).unwrap();
+    let mut prev: Vec<Option<Region3>> = vec![None; plan.field_names.len()];
+    let shaved = plan.teams[0]
+        .epochs
+        .iter_mut()
+        .flat_map(|ep| &mut ep.windows)
+        .find(|w| {
+            let kept = w.keep && prev[w.field].is_some_and(|p| p.i.hi > w.region.i.lo);
+            prev[w.field] = Some(w.region);
+            kept
+        })
+        .expect("multi-block plans slide windows");
+    let lo = shaved.region.i.lo;
+    shaved.region.i = Range1::new(lo + 1, shaved.region.i.hi);
+    let found = check_disjointness(&plan);
+    assert!(
+        found.iter().any(|f| f.code == DiagnosticCode::UncoveredRead
+            && f.field == "f1"
+            && f.detail.contains(&format!("wrote [{lo}, {})", lo + 1))),
+        "expected an uncovered read of the forgotten f1 plane, got: {found:?}"
+    );
+    assert!(
+        found.iter().any(|f| f.code == DiagnosticCode::OutOfWindow),
+        "the block's read of the shaved plane lies outside its window: {found:?}"
+    );
+}
+
+#[test]
+fn clean_windowed_schedule_stays_clean_as_a_control() {
+    let problem = MpdataProblem::standard();
+    let d = Region3::of_extent(16, 12, 6);
+    let parts = d.split(Axis::I, 2);
+    for config in [
+        windowed(Axis::J),
+        PlanConfig {
+            fuse_steps: 3,
+            ..windowed(Axis::J)
+        },
+        PlanConfig {
+            schedule: SchedulePolicy::Dynamic { chunks_per_rank: 2 },
+            ..windowed(Axis::K)
+        },
+    ] {
+        let plan = islands_plan(&problem, d, &parts, &[2, 2], &config).unwrap();
+        assert_eq!(check_disjointness(&plan), vec![], "{config:?}");
+        // Windows slide: within a fused step each field's window only
+        // moves forward along I, at least one keeps planes, and each
+        // step starts every field afresh.
+        let mut prev: Vec<Option<Region3>> = vec![None; plan.field_names.len()];
+        let mut slides = 0;
+        for w in plan.teams[0].epochs.iter().flat_map(|ep| &ep.windows) {
+            match prev[w.field].filter(|_| w.keep) {
+                Some(p) => {
+                    assert!(w.region.i.lo >= p.i.lo && w.region.i.hi >= p.i.hi);
+                    assert_eq!((w.region.j, w.region.k), (p.j, p.k));
+                    slides += usize::from(p != w.region);
+                }
+                None => assert!(!w.keep, "a kept window needs a predecessor"),
+            }
+            prev[w.field] = Some(w.region);
+        }
+        assert!(slides > 0, "no window slid under {config:?}");
+    }
+}

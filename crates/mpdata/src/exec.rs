@@ -258,34 +258,51 @@ impl ParStore {
         *self.cells.cell_mut(f).get_mut_exclusive() = Some(Array3::zeros(region));
     }
 
-    /// Re-targets `f`'s buffer at `region`, reusing its allocation
-    /// ([`Array3::rebase`]) — the per-tile scratch shrink of the
-    /// tile-fused replay, which must stay allocation-free.
+    /// Re-targets `f`'s buffer at `region`, reusing its allocation:
+    /// with `keep`, an [`Array3::slide`] forward along `I` that keeps
+    /// the planes both windows share (the per-block window move of the
+    /// wavefront replay); without, an [`Array3::rebase`] that keeps
+    /// nothing (the first block of a fused step, and every tile of the
+    /// tile-fused replay). Allocation-free either way.
     ///
-    /// The buffer's previous contents become meaningless at the new
-    /// indexing; callers re-zero exactly what the tile chain reads
-    /// before writing (its plan-time `must_zero` set — empty for the
-    /// real MPDATA graphs, whose chains cover every read).
+    /// Cells the new window does not inherit hold stale bytes; callers
+    /// zero exactly those the plan reads before writing (its plan-time
+    /// `must_zero` sets — empty for the real MPDATA graphs).
     ///
     /// # Safety contract (internal)
     ///
-    /// The store must be *rank-private*: no other thread may access it
-    /// concurrently. The tiled executors allocate one store per team
-    /// rank and never share them, so the claim below can never collide.
-    pub(crate) fn rebase(&self, f: FieldId, region: Region3) {
+    /// No other thread may access `f` of this store concurrently: the
+    /// tile stores are rank-private, and the wavefront replay moves
+    /// each field on one rank between two team barriers.
+    pub(crate) fn retarget(&self, f: FieldId, region: Region3, keep: bool) {
         #[cfg(debug_assertions)]
-        let _claim = self.cells.claim(&[(f, region, true)], "tile-rebase");
+        let _claim = self.cells.claim(&[(f, region, true)], "retarget");
         let _tracker = self.cells.cell(f).track_write();
-        // SAFETY: see the contract above — the store is rank-private.
-        unsafe { self.cells.cell(f).get_mut() }
+        // SAFETY: see the contract above.
+        let buf = unsafe { self.cells.cell(f).get_mut() }
             .as_mut()
-            .expect("buffer present")
-            .rebase(region);
+            .expect("buffer present");
+        if keep {
+            buf.slide(region);
+        } else {
+            buf.rebase(region);
+        }
     }
 
-    /// Zeroes `region` of `f` in place — the per-step refill for
-    /// persistent stores, covering exactly the cells a plan's coverage
-    /// analysis proves are read before they are written.
+    /// Cells held by the store's buffers — its scratch footprint.
+    #[cfg(test)]
+    pub(crate) fn cells_allocated(&mut self) -> usize {
+        self.cells
+            .cells
+            .iter_mut()
+            .filter_map(|c| c.get_mut_exclusive().as_ref())
+            .map(Array3::len)
+            .sum()
+    }
+
+    /// Zeroes `region` of `f` in place — for persistent stores, the
+    /// cells entering a scratch window that a plan's coverage analysis
+    /// proves are read before they are written.
     ///
     /// # Safety contract (internal)
     ///
@@ -429,10 +446,16 @@ impl ParStore {
             .as_ref()
             .expect("buffer present");
         // SAFETY: see the contract above.
-        unsafe { self.cells.cell(f).get_mut() }
+        let to = unsafe { self.cells.cell(f).get_mut() }
             .as_mut()
-            .expect("buffer present")
-            .copy_region_from(from, region);
+            .expect("buffer present");
+        // `copy_region_from` clips silently; a piece outside either
+        // window would leave margin cells stale.
+        debug_assert!(
+            from.region().contains_region(region) && to.region().contains_region(region),
+            "exchange piece {region:?} escapes a scratch window"
+        );
+        to.copy_region_from(from, region);
     }
 }
 

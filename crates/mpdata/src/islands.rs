@@ -171,6 +171,16 @@ impl<'p> IslandsExecutor<'p> {
         self.partition.parts(domain, self.teams.team_count())
     }
 
+    /// Builds (or reuses) the plan for `domain` without stepping and
+    /// returns each island's scratch cells.
+    #[cfg(test)]
+    fn scratch_cells(&self, domain: Region3) -> Vec<usize> {
+        let mut slot = self.plan.lock().unwrap_or_else(|e| e.into_inner());
+        crate::plan::ensure_plan(&mut slot, &self.problem, &self.teams, self.key(domain))
+            .expect("the plan fits its cache budget")
+            .scratch_cells()
+    }
+
     fn key(&self, domain: Region3) -> PlanKey {
         PlanKey {
             domain,
@@ -774,6 +784,97 @@ mod tests {
                 "{islands} islands, exchange={exchange}"
             );
         }
+    }
+
+    #[test]
+    fn sliding_windows_match_reference_bitwise() {
+        // Multi-block islands slide every scratch window from block to
+        // block: fused epochs (7 steps leave a remainder tail for both
+        // depths), 2-rank teams under both schedules, variant B and the
+        // explicit 2×2 grid must all stay bit-identical.
+        let d = Region3::of_extent(30, 8, 4);
+        let pool = WorkerPool::new(4);
+        // Budgets that cut every island into at least three blocks.
+        let islands = |teams: usize, axis: Axis| {
+            let cache = if teams == 4 { 6 << 10 } else { 12 << 10 };
+            IslandsExecutor::new(&pool, TeamSpec::even(4, teams), axis).cache_bytes(cache)
+        };
+        let grid: Vec<Region3> = d
+            .split(Axis::I, 2)
+            .into_iter()
+            .flat_map(|half| half.split(Axis::J, 2))
+            .collect();
+        for (label, exec, steps) in [
+            ("fuse 2", islands(2, Axis::I).fuse_steps(2), 7),
+            ("fuse 3", islands(2, Axis::I).fuse_steps(3), 7),
+            ("2-rank static", islands(2, Axis::I), 3),
+            (
+                "2-rank dynamic",
+                islands(2, Axis::I).schedule(dynamic(2)),
+                3,
+            ),
+            ("variant B", islands(2, Axis::J), 3),
+            ("2x2 grid", islands(4, Axis::I).with_partition(grid), 3),
+        ] {
+            let mut expect = rotating_cone(d, 0.25);
+            ReferenceExecutor::new().run(&mut expect, steps);
+            let mut f = rotating_cone(d, 0.25);
+            exec.run(&mut f, steps).unwrap();
+            assert!(f.x.bits_eq(&expect.x), "{label} diverged");
+            for part in exec.partition(d) {
+                let blocks = BlockPlanner::new(exec.config.cache_bytes)
+                    .plan_wavefront(exec.graph(), part, d)
+                    .unwrap();
+                assert!(blocks.len() >= 3, "{label}: {part:?} has {}", blocks.len());
+            }
+            let slot = exec.plan.lock().unwrap();
+            let moves = slot.as_ref().unwrap().window_moves();
+            assert!(moves.iter().all(|&m| m > 0), "{label}: moves {moves:?}");
+        }
+    }
+
+    /// Scratch cells of each island's hull-sized store: every scratch
+    /// field over the hull of the island's wavefront blocks.
+    fn hull_cells(exec: &IslandsExecutor<'_>, cache: usize, domain: Region3) -> Vec<usize> {
+        let graph = exec.graph();
+        let scratch = (0..graph.fields().len())
+            .filter(|&f| {
+                graph.fields().role(stencil_engine::FieldId(f as u32))
+                    == stencil_engine::FieldRole::Intermediate
+            })
+            .count();
+        exec.partition(domain)
+            .into_iter()
+            .map(|part| {
+                let blocking = BlockPlanner::new(cache)
+                    .plan_wavefront(graph, part, domain)
+                    .unwrap();
+                scratch * blocking.hull().cells()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliding_windows_shrink_island_scratch() {
+        // The paper domain under the library defaults: each island's
+        // windows hold at most a quarter of the hull-sized scratch,
+        // while Original's single whole-domain block keeps it all.
+        let d = Region3::of_extent(256, 256, 64);
+        let pool = WorkerPool::new(2);
+        let islands = IslandsExecutor::new(&pool, TeamSpec::even(2, 2), Axis::I);
+        let windows = islands.scratch_cells(d);
+        let hulls = hull_cells(&islands, crate::DEFAULT_CACHE_BYTES, d);
+        assert_eq!(windows.len(), 2);
+        for (w, h) in windows.iter().zip(&hulls) {
+            assert!(4 * w <= *h, "island scratch {w} cells vs hull-sized {h}");
+        }
+        let original = IslandsExecutor::new(&pool, TeamSpec::even(2, 1), Axis::I)
+            .cache_bytes(usize::MAX)
+            .split_axis(Axis::I);
+        assert_eq!(
+            original.scratch_cells(d),
+            hull_cells(&original, usize::MAX, d)
+        );
     }
 
     #[test]

@@ -25,11 +25,22 @@
 //!   `(domain, partition, PlanConfig)`, compared with `==` — so any
 //!   change of domain, partition, cache budget, split axis, schedule
 //!   policy, fuse depth or tile mode rebuilds the plan;
-//! * the island [`ParStore`]s persist across steps. Instead of
-//!   re-zeroing whole scratches, the builder runs the same coverage
-//!   analysis as the `islands-analysis` `uncovered-read` rule and
-//!   records exactly the cells each team reads before writing; the
-//!   replay re-zeroes only those (none, for the real MPDATA graphs);
+//! * the island [`ParStore`]s persist across steps, each intermediate
+//!   in a *sliding window along `I`* rather than over the island's
+//!   whole hull, so a wavefront block's intermediates stay in cache.
+//!   The builder gives every field, per block, the hull of the block's
+//!   accesses to it, widened so windows only move forward and every
+//!   value stays in the window until its last read (see
+//!   `plan_windows`); the field is allocated once at its widest window.
+//!   At each block start the team's ranks slide the moved fields
+//!   ([`Array3::slide`], between two team barriers, recorded as
+//!   `Refill` spans); the first block of a fused step re-targets with
+//!   nothing kept. Single-block plans (Original, exchange) never move.
+//!   Instead of re-zeroing whole scratches, the builder runs the same
+//!   coverage analysis as the `islands-analysis` `uncovered-read` rule
+//!   and records exactly the cells each team reads before writing; the
+//!   replay zeroes only those, as they enter a window (none, for the
+//!   real MPDATA graphs);
 //! * `run` ping-pongs two persistent full-domain arrays (`cur`/`out`)
 //!   by pointer swap under the once-per-epoch global barrier, instead
 //!   of allocating `Array3::zeros(domain)` and copying back per step.
@@ -46,7 +57,7 @@
 //! finished the stage), then the team's ranks copy their share of the
 //! pieces, then a team barrier publishes the margins to the next stage.
 //! Every team, empty parts included, passes every global barrier. The
-//! coverage analysis counts the copies as writes, so the refill stays
+//! coverage analysis counts the copies as writes, so `must_zero` stays
 //! empty for the MPDATA graphs.
 //!
 //! Box-shaped stage regions cannot express periodic wrap reads, so the
@@ -77,8 +88,9 @@
 //! the kernels are pointwise in their declared neighborhoods, so
 //! computing a cell inside an enlarged region produces the same bits as
 //! computing it as somebody's "own" cell; covered scratch reads see the
-//! same in-step values, uncovered reads see zeros either way (the
-//! refill runs before every fused step), and the output cells not
+//! same in-step values, uncovered reads see zeros either way (they are
+//! zeroed as they enter a window, in every fused step), and the output
+//! cells not
 //! covered by final-stage writes (`out_gaps` — empty for any covering
 //! partition) are re-zeroed at swap time.
 
@@ -89,7 +101,7 @@ use std::fmt;
 use std::sync::Arc;
 use stencil_engine::{
     choose_tile, tile_grid, Array3, Axis, BlockPlan, BlockPlanner, FieldId, FieldRole, Halo3,
-    PlanBlocksError, Region3, StageDef, StageGraph,
+    PlanBlocksError, Range1, Region3, StageDef, StageGraph,
 };
 use work_scheduler::{AccessTracker, ChunkQueue, DisjointCell, TeamCtx, TeamSpec, WorkerPool};
 
@@ -292,6 +304,24 @@ struct EpochPlan {
     /// the exchange fence: a global barrier, the team's halo copies
     /// (strided over its ranks), then a team barrier.
     copies: Option<Vec<CopyPiece>>,
+    /// The scratch window moves that open this epoch's block (empty on
+    /// every other epoch, and on every epoch of a plan whose windows
+    /// never change): the team's ranks split them, then meet at a team
+    /// barrier before the epoch's kernels run.
+    enter: Vec<WindowMove>,
+}
+
+/// One scratch field's window move at a block start: the buffer is
+/// re-targeted at `window` — slid forward keeping the planes both
+/// windows share (`keep`), or rebased keeping nothing at the first
+/// block of a fused step — and then `zero` is cleared: the cells
+/// entering the window that the fused step reads before writing (none
+/// for the real MPDATA graphs).
+struct WindowMove {
+    field: FieldId,
+    window: Region3,
+    keep: bool,
+    zero: Vec<Region3>,
 }
 
 /// One halo piece of an exchange plan: `region` of `field`, copied from
@@ -339,12 +369,6 @@ struct TeamPlan {
     /// epoch, inside the serial sections the barriers already fence —
     /// so self-scheduling adds no allocation to the steady state.
     queues: Vec<ChunkQueue>,
-    /// Scratch regions this team reads before writing them in one fused
-    /// step — the cells the refill must re-zero *before every fused
-    /// step* so scratch reuse stays bit-identical to freshly zeroed
-    /// stores. Empty for the real MPDATA graphs (the `uncovered-read`
-    /// analysis proves per-step coverage).
-    must_zero: Vec<(FieldId, Region3)>,
     /// Team-private ping-pong buffers for the advected field between
     /// fused steps (`None` when `fuse_steps == 1`): fused step `s < k-1`
     /// writes slot `s % 2`, fused step `s > 0` reads slot `(s-1) % 2`.
@@ -438,12 +462,10 @@ fn subtract_all(from: Vec<Region3>, cut: Region3) -> Vec<Region3> {
 /// The scratch cells a team reads before any same-step write covers
 /// them — mirror of the analyzer's `uncovered-read` rule, restricted to
 /// intermediate fields (externals are inputs; the output is written,
-/// never read). Regions are clamped to `hull`, the extent of the
-/// team's scratch buffers.
+/// never read).
 fn uncovered_reads(
     graph: &StageGraph,
     epochs: &[EpochPlan],
-    hull: Region3,
     domain: Region3,
 ) -> Vec<(FieldId, Region3)> {
     // Coverage is checked at *epoch* granularity: an epoch's units
@@ -465,12 +487,7 @@ fn uncovered_reads(
             if graph.fields().role(*f) != FieldRole::Intermediate {
                 continue;
             }
-            let read = ep
-                .region
-                .expand(pat.halo())
-                .intersect(domain)
-                .intersect(hull);
-            let mut remaining = vec![read];
+            let mut remaining = vec![ep.region.expand(pat.halo()).intersect(domain)];
             for &wr in &written[f.index()] {
                 remaining = subtract_all(remaining, wr);
                 if remaining.is_empty() {
@@ -494,6 +511,139 @@ fn uncovered_reads(
         }
     }
     gaps
+}
+
+/// Plans one team's scratch windows along `I` for its wavefront replay
+/// and returns every scratch field's allocation: its widest window.
+///
+/// A field's window at a block is the hull of the block's writes of it
+/// and its halo-expanded reads of it (clipped to the domain; exchange
+/// copies count as writes), widened to the field's `J`/`K` extent over
+/// the whole plan and along `I` back to the lowest plane a later block
+/// of the fused step touches and forward to the highest plane an
+/// earlier one touched. Windows therefore only slide forward, and a
+/// cell stays in the window from the block that writes it to every
+/// block that reads it. The first block of each fused step re-targets
+/// with nothing kept (a fused step never reads the previous one's
+/// scratch); later blocks slide. Each move zeroes the cells of the
+/// step's `must_zero` set entering the window. A field whose window
+/// never changes (every single-block plan) never moves.
+///
+/// Fills the `enter` table of each block's first epoch.
+fn plan_windows(
+    graph: &StageGraph,
+    epochs: &mut [EpochPlan],
+    step_bounds: &[(usize, usize)],
+    must_zero: &[Vec<(FieldId, Region3)>],
+    domain: Region3,
+) -> Vec<(FieldId, Region3)> {
+    let nf = graph.fields().len();
+    // Per fused step, per block: its first epoch and per-field hulls.
+    let mut steps: Vec<Vec<(usize, Vec<Region3>)>> = Vec::with_capacity(step_bounds.len());
+    let mut extent = vec![Region3::empty(); nf];
+    for &(lo, hi) in step_bounds {
+        let mut blocks: Vec<(usize, Vec<Region3>)> = Vec::new();
+        for (e, ep) in epochs.iter().enumerate().take(hi).skip(lo) {
+            if blocks
+                .last()
+                .is_none_or(|&(first, _)| epochs[first].block != ep.block)
+            {
+                blocks.push((e, vec![Region3::empty(); nf]));
+            }
+            let hulls = &mut blocks.last_mut().expect("pushed above").1;
+            let mut touch = |f: FieldId, r: Region3| {
+                if graph.fields().role(f) == FieldRole::Intermediate {
+                    hulls[f.index()] = hulls[f.index()].hull(r);
+                }
+            };
+            let st = &graph.stages()[ep.stage];
+            if !ep.region.is_empty() {
+                for (f, pat) in &st.inputs {
+                    touch(*f, ep.region.expand(pat.halo()).intersect(domain));
+                }
+                if !ep.is_final {
+                    for &o in &st.outputs {
+                        touch(o, ep.region);
+                    }
+                }
+            }
+            for c in ep.copies.iter().flatten() {
+                touch(c.field, c.region);
+            }
+        }
+        for (_, hulls) in &blocks {
+            for (x, &h) in extent.iter_mut().zip(hulls) {
+                *x = x.hull(h);
+            }
+        }
+        steps.push(blocks);
+    }
+    let mut alloc = Vec::new();
+    for (f, ext) in extent.iter().enumerate() {
+        if ext.is_empty() {
+            continue;
+        }
+        let field = FieldId(f as u32);
+        // `(step, block, window)` for every block touching the field.
+        let mut wins: Vec<(usize, usize, Region3)> = Vec::new();
+        for (ts, blocks) in steps.iter().enumerate() {
+            let touched: Vec<(usize, Range1)> = blocks
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, h))| !h[f].is_empty())
+                .map(|(b, (_, h))| (b, h[f].i))
+                .collect();
+            let mut lows = vec![0; touched.len()];
+            let mut lo = i64::MAX;
+            for (n, &(_, r)) in touched.iter().enumerate().rev() {
+                lo = lo.min(r.lo);
+                lows[n] = lo;
+            }
+            let mut hi = i64::MIN;
+            for (&(b, r), &lo) in touched.iter().zip(&lows) {
+                hi = hi.max(r.hi);
+                wins.push((ts, b, ext.with_range(Axis::I, Range1::new(lo, hi))));
+            }
+        }
+        let widest = wins
+            .iter()
+            .map(|w| w.2)
+            .max_by_key(|w| w.cells())
+            .expect("a non-empty extent has a window");
+        let fixed = wins.iter().all(|w| w.2 == widest);
+        alloc.push((field, widest));
+        let mut prev: Option<(usize, Region3)> = None;
+        for &(ts, b, window) in &wins {
+            let kept = prev.filter(|&(pts, _)| pts == ts).map(|(_, p)| p);
+            let entering = match kept {
+                Some(p) => {
+                    assert!(
+                        window.i.lo >= p.i.lo && window.i.hi >= p.i.hi,
+                        "scratch windows move forward along I"
+                    );
+                    window.with_range(Axis::I, Range1::new(p.i.hi.max(window.i.lo), window.i.hi))
+                }
+                None => window,
+            };
+            let zero: Vec<Region3> = must_zero[ts]
+                .iter()
+                .filter(|&&(g, _)| g == field)
+                .map(|&(_, r)| r.intersect(entering))
+                .filter(|r| !r.is_empty())
+                .collect();
+            let moved = kept.map_or(!fixed, |p| p != window);
+            if moved || !zero.is_empty() {
+                epochs[steps[ts][b].0].enter.push(WindowMove {
+                    field,
+                    window,
+                    keep: kept.is_some(),
+                    zero,
+                });
+            }
+            prev = Some((ts, window));
+        }
+    }
+    alloc
 }
 
 /// The per-fused-step targets for one island: index `k-1` is the
@@ -605,8 +755,8 @@ fn plan_tile(
 impl StepPlan {
     /// Builds the plan for `key`: partition, per-island and
     /// per-fused-step blocking, epoch tables with precomputed rank
-    /// slices, persistent stores, and the refill/coverage facts. This
-    /// is the only allocating phase.
+    /// slices and window moves, window-sized persistent stores, and the
+    /// coverage facts. This is the only allocating phase.
     ///
     /// # Errors
     ///
@@ -676,7 +826,6 @@ impl StepPlan {
             let mut step_bounds = vec![(0usize, 0usize); k];
             let mut xslots = None;
             let mut queues = Vec::new();
-            let mut must_zero = Vec::new();
             let mut tiles: Vec<Vec<TileTask>> = Vec::new();
             let mut tile_queues = Vec::new();
             // Exchange teams with empty parts still replay (empty)
@@ -732,8 +881,8 @@ impl StepPlan {
                         rank_stores.push(rs);
                     }
                 } else {
-                    // The blocks of each fused step and the hull the
-                    // scratch store spans.
+                    // The blocks of each fused step, and for exchange
+                    // plans the margin-expanded part the copies fill.
                     let mut blockings: Vec<Vec<BlockPlan>> = Vec::with_capacity(k);
                     let mut hull = Region3::empty();
                     if exchange {
@@ -747,24 +896,11 @@ impl StepPlan {
                             hull = part.expand(margin).intersect(domain);
                         }
                     } else {
-                        // One wavefront blocking per fused step; the
-                        // store spans the union of their hulls (steps
-                        // reuse the same scratch, refilled before each
-                        // fused step).
+                        // One wavefront blocking per fused step.
                         for &sp in &step_parts {
                             let blocking = BlockPlanner::new(key.config.cache_bytes)
                                 .plan_wavefront(graph, sp, domain)?;
-                            hull = hull.hull(blocking.hull());
                             blockings.push(blocking.blocks);
-                        }
-                    }
-                    if !hull.is_empty() {
-                        for st in graph.stages() {
-                            for &o in &st.outputs {
-                                if o != xout {
-                                    store.alloc(o, hull);
-                                }
-                            }
                         }
                     }
                     let n_units = key.config.schedule.units_for(size);
@@ -819,18 +955,24 @@ impl StepPlan {
                                     units,
                                     units_extra,
                                     copies,
+                                    enter: Vec::new(),
                                 });
                             }
                         }
                         step_bounds[ts] = (start, epochs.len());
                     }
-                    // The refill reruns before *every* fused step, so the
-                    // coverage analysis is per fused step (each step must
-                    // cover its own scratch reads — stale values from the
-                    // previous fused step are zeroed first, exactly like a
-                    // fresh store).
-                    for &(lo, hi) in &step_bounds {
-                        must_zero.extend(uncovered_reads(graph, &epochs[lo..hi], hull, domain));
+                    // Coverage is per fused step: each step must cover
+                    // its own scratch reads, and the cells it reads
+                    // before writing are zeroed as they enter a window,
+                    // exactly like a fresh store.
+                    let must_zero: Vec<_> = step_bounds
+                        .iter()
+                        .map(|&(lo, hi)| uncovered_reads(graph, &epochs[lo..hi], domain))
+                        .collect();
+                    for (f, window) in
+                        plan_windows(graph, &mut epochs, &step_bounds, &must_zero, domain)
+                    {
+                        store.alloc(f, window);
                     }
                     if let SchedulePolicy::Dynamic { .. } = key.config.schedule {
                         queues = epochs
@@ -853,7 +995,6 @@ impl StepPlan {
                 epochs,
                 step_bounds,
                 queues,
-                must_zero,
                 xslots,
                 tiles,
                 tile_queues,
@@ -893,9 +1034,9 @@ impl StepPlan {
     /// Replays one fused epoch of `epoch_len ∈ 1..=k` time steps for
     /// the calling worker's team — the *last* `epoch_len` fused-step
     /// sections of the table, so a tail epoch keeps each section's halo
-    /// enlargement exact. Per fused step: scratch refill (rank 0, only
-    /// when the coverage analysis demands it), then every `(block,
-    /// stage)` epoch fenced by the team barrier; the team barrier
+    /// enlargement exact. Per fused step: every `(block, stage)` epoch
+    /// fenced by the team barrier, each block opened by its scratch
+    /// window moves (when it has any); the team barrier
     /// ending one fused step fences its x-slot writes from the next
     /// step's reads. `base_step` numbers the trace spans, so per-step
     /// attribution survives fusion. Allocation-free in release builds —
@@ -924,31 +1065,12 @@ impl StepPlan {
         let store = &self.stores[ctx.team];
         for ts in first_ts..k {
             islands_trace::set_step(base_step + (ts - first_ts) as u32);
-            if !team.must_zero.is_empty() {
-                if ctx.rank == 0 {
-                    let t0 = islands_trace::now();
-                    for &(f, r) in &team.must_zero {
-                        store.zero_region(f, r);
-                    }
-                    if let Some(t0) = t0 {
-                        islands_trace::record(
-                            islands_trace::SpanKind::Refill,
-                            t0,
-                            islands_trace::now_ns(),
-                            0,
-                            0,
-                            [0; 3],
-                        );
-                    }
-                }
-                // Publish the refill to the other ranks.
-                ctx.team_barrier();
-            }
             let (step_ext, _slot_read) = team.step_ext(ext, ts, first_ts);
             let (lo, hi) = team.step_bounds.get(ts).copied().unwrap_or((0, 0));
             match self.key.config.schedule {
                 SchedulePolicy::Static => {
                     for ep in &team.epochs[lo..hi] {
+                        self.enter_block(ctx, ep);
                         let st = &graph.stages()[ep.stage];
                         let dest = self.final_dest(team, ep);
                         // Static: unit index = rank, exactly one per epoch.
@@ -958,6 +1080,7 @@ impl StepPlan {
                 }
                 SchedulePolicy::Dynamic { .. } => {
                     for (ep, q) in team.epochs[lo..hi].iter().zip(&team.queues[lo..hi]) {
+                        self.enter_block(ctx, ep);
                         let st = &graph.stages()[ep.stage];
                         let dest = self.final_dest(team, ep);
                         // Self-schedule: claim precomputed chunks until the
@@ -972,6 +1095,41 @@ impl StepPlan {
                 }
             }
         }
+    }
+
+    /// Opens a block: moves the scratch windows listed on its first
+    /// epoch. The team barrier ending the previous epoch fenced every
+    /// access of the old windows; the ranks split the fields (one rank
+    /// moves and zeroes each), and a team barrier publishes the moves
+    /// before the block's kernels run. No-op on every other epoch.
+    #[inline]
+    fn enter_block(&self, ctx: &TeamCtx, ep: &EpochPlan) {
+        if ep.enter.is_empty() {
+            return;
+        }
+        let store = &self.stores[ctx.team];
+        let t0 = if ctx.rank < ep.enter.len() {
+            islands_trace::now()
+        } else {
+            None
+        };
+        for m in ep.enter.iter().skip(ctx.rank).step_by(ctx.size) {
+            store.retarget(m.field, m.window, m.keep);
+            for &r in &m.zero {
+                store.zero_region(m.field, r);
+            }
+        }
+        if let Some(t0) = t0 {
+            islands_trace::record(
+                islands_trace::SpanKind::Refill,
+                t0,
+                islands_trace::now_ns(),
+                ep.stage.min(usize::from(u16::MAX)) as u16,
+                ep.block,
+                [0; 3],
+            );
+        }
+        ctx.team_barrier();
     }
 
     /// Ends an epoch. Recompute plans synchronize within the island only
@@ -1088,7 +1246,7 @@ impl StepPlan {
         dest: &DisjointCell<Array3>,
     ) {
         for &(f, r) in &task.field_regions {
-            store.rebase(f, r);
+            store.retarget(f, r, false);
         }
         for &(f, r) in &task.must_zero {
             store.zero_region(f, r);
@@ -1191,11 +1349,33 @@ impl StepPlan {
             && self.teams[0].epochs.len() == self.stage_kinds.len()
     }
 
-    /// Whether no team re-zeroes scratch before a step: the coverage
-    /// analysis proved every scratch read written first.
+    /// Whether no team zeroes scratch as it enters a window: the
+    /// coverage analysis proved every scratch read written first.
     #[cfg(test)]
     pub(crate) fn refill_is_empty(&self) -> bool {
-        self.teams.iter().all(|t| t.must_zero.is_empty())
+        self.teams
+            .iter()
+            .flat_map(|t| &t.epochs)
+            .flat_map(|ep| &ep.enter)
+            .all(|m| m.zero.is_empty())
+    }
+
+    /// Scratch cells held by each team's store, in team order.
+    #[cfg(test)]
+    pub(crate) fn scratch_cells(&mut self) -> Vec<usize> {
+        self.stores
+            .iter_mut()
+            .map(ParStore::cells_allocated)
+            .collect()
+    }
+
+    /// Window moves per fused-step replay of each team, in team order.
+    #[cfg(test)]
+    pub(crate) fn window_moves(&self) -> Vec<usize> {
+        self.teams
+            .iter()
+            .map(|t| t.epochs.iter().map(|ep| ep.enter.len()).sum())
+            .collect()
     }
 
     /// Rewinds every dynamic epoch queue to full (one relaxed store
@@ -1222,7 +1402,7 @@ impl StepPlan {
 /// Panics when the problem has periodic boundaries and the built plan
 /// is not a single whole-domain sweep (see
 /// [`StepPlan::sweeps_whole_domain`]).
-fn ensure_plan<'s>(
+pub(crate) fn ensure_plan<'s>(
     slot: &'s mut Option<StepPlan>,
     problem: &MpdataProblem,
     spec: &TeamSpec,

@@ -168,6 +168,42 @@ fn steady_state_steps_do_not_allocate() {
     #[cfg(debug_assertions)]
     let _ = (fused_one, fused_many);
 
+    // Same pin with sliding scratch windows: a budget that cuts each
+    // island into at least three wavefront blocks, fused two steps deep,
+    // so every block start slides (and every fused step rebases) the
+    // windows inside their plan-time allocations.
+    let sliding_exec = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I)
+        .cache_bytes(32 * 1024)
+        .fuse_steps(2);
+    for part in sliding_exec.partition(domain) {
+        let blocks = stencil_engine::BlockPlanner::new(32 * 1024)
+            .plan_wavefront(sliding_exec.graph(), part, domain)
+            .unwrap();
+        assert!(blocks.len() >= 3, "{part:?} has {} blocks", blocks.len());
+    }
+    let before = allocs();
+    sliding_exec.run(&mut fields, 1).unwrap();
+    let sliding_cold = allocs() - before;
+    assert!(sliding_cold > 0, "cold sliding run should build its plan");
+    sliding_exec.run(&mut fields, 2).unwrap();
+
+    let before = allocs();
+    sliding_exec.run(&mut fields, 1).unwrap();
+    let sliding_one = allocs() - before;
+
+    let before = allocs();
+    sliding_exec.run(&mut fields, STEPS).unwrap();
+    let sliding_many = allocs() - before;
+
+    #[cfg(not(debug_assertions))]
+    assert!(
+        sliding_many <= sliding_one + 4,
+        "sliding-window (k=2) steps 2..{STEPS} allocated: run({STEPS}) made \
+         {sliding_many} allocations vs {sliding_one} for run(1)"
+    );
+    #[cfg(debug_assertions)]
+    let _ = (sliding_one, sliding_many);
+
     // Same pin for the tile-fused replay: the per-tile chain tables,
     // the rank-private scratch stores, and (for k>1) the x-slot
     // ping-pong buffers are all built into the plan, and the per-tile

@@ -114,6 +114,37 @@ impl Array3 {
         self.nk = region.k.len() as i64;
     }
 
+    /// Slides the array forward along `I` to `region`, keeping the
+    /// values of the `I`-planes the old and new regions share — the
+    /// per-block window move of the (3+1)D scratch, which must not
+    /// allocate.
+    ///
+    /// `I` is the slowest axis, so the kept planes are one contiguous
+    /// tail of the old storage and move to the front with a single
+    /// `copy_within`. Planes that enter the window (beyond the old
+    /// region's `I` end) hold stale bytes, as after [`Array3::rebase`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is empty, differs from the current region
+    /// along `J` or `K`, starts earlier along `I`, or holds more cells
+    /// than the allocation.
+    pub fn slide(&mut self, region: Region3) {
+        let old = self.region;
+        assert!(
+            region.j == old.j && region.k == old.k && region.i.lo >= old.i.lo,
+            "slide from {old:?} to {region:?} must keep J and K and move forward along I"
+        );
+        let plane = (self.nj * self.nk) as usize;
+        let shift = (region.i.lo - old.i.lo) as usize;
+        let kept = (old.i.hi.min(region.i.hi) - region.i.lo).max(0) as usize;
+        self.rebase(region);
+        if shift > 0 && kept > 0 {
+            self.data
+                .copy_within(shift * plane..(shift + kept) * plane, 0);
+        }
+    }
+
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -471,6 +502,37 @@ mod tests {
         // Rebasing back to a same-cell-count region also works.
         a.rebase(big);
         assert_eq!(a.region(), big);
+    }
+
+    #[test]
+    fn slide_keeps_the_shared_planes_in_place() {
+        let value = |i: i64, j: i64, k: i64| (i * 100 + j * 10 + k) as f64;
+        let old = Region3::new(Range1::new(3, 8), Range1::new(-1, 2), Range1::new(0, 4));
+        let mut a = Array3::from_fn(old, value);
+        let ptr = a.as_slice().as_ptr();
+        // Forward by two planes and one plane longer: planes 5..8 kept.
+        let new = old.with_range(crate::region::Axis::I, Range1::new(5, 9));
+        a.slide(new);
+        assert_eq!(a.region(), new);
+        assert_eq!(a.as_slice().as_ptr(), ptr, "a slide never reallocates");
+        for (i, j, k) in new.points().filter(|&(i, _, _)| i < 8) {
+            assert_eq!(a.get(i, j, k), value(i, j, k), "at ({i},{j},{k})");
+        }
+        // A window past the old end keeps nothing; an unmoved one keeps
+        // everything.
+        let mut b = Array3::from_fn(old, value);
+        b.slide(old.with_range(crate::region::Axis::I, Range1::new(9, 11)));
+        let mut c = Array3::from_fn(old, value);
+        c.slide(old);
+        assert!(c.bits_eq(&Array3::from_fn(old, value)));
+    }
+
+    #[test]
+    #[should_panic(expected = "move forward along I")]
+    fn slide_backwards_panics() {
+        let r = Region3::new(Range1::new(3, 8), Range1::new(0, 2), Range1::new(0, 2));
+        let mut a = Array3::zeros(r);
+        a.slide(r.with_range(crate::region::Axis::I, Range1::new(2, 6)));
     }
 
     #[test]

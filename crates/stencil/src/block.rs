@@ -321,8 +321,9 @@ impl Blocking {
     }
 
     /// The hull of every stage region of every block — the region a
-    /// persistent (cross-block) scratch buffer must cover under the
-    /// wavefront schedule.
+    /// scratch buffer spanning the whole wavefront schedule would cover
+    /// (the plan engine instead slides a much smaller per-field window
+    /// along the blocking axis).
     pub fn hull(&self) -> Region3 {
         (0..self.blocks.len()).fold(Region3::empty(), |acc, b| acc.hull(self.scratch_region(b)))
     }

@@ -138,7 +138,8 @@ pub enum SpanKind {
     GlobalBarrier,
     /// Serial buffer swap + halo-gap re-zero between time steps.
     Swap,
-    /// One-time refill/zero of plan scratch state before stepping.
+    /// Scratch window moves at a block start: slides, rebases and the
+    /// zeroing of cells entering a window.
     Refill,
     /// A whole pool broadcast, recorded on the caller thread
     /// (island = [`NO_ISLAND`]). `aux = [workers, 0, 0]`.

@@ -8,11 +8,12 @@ use islands_of_cores::islands::{
 };
 use islands_of_cores::mpdata::{
     gaussian_pulse, random_fields, rotating_cone, IslandsExecutor, OriginalExecutor,
+    ReferenceExecutor,
 };
 use islands_of_cores::numa::{SimConfig, UvParams};
 use islands_of_cores::scheduler::{TeamSpec, WorkerPool};
 use islands_of_cores::stencil::rng::{hash_f64_slice, Xoshiro256pp};
-use islands_of_cores::stencil::{Axis, Region3};
+use islands_of_cores::stencil::{Axis, BlockPlanner, Region3};
 
 /// Field generators are a pure function of the seed: two generators
 /// built from identical seeds produce bit-identical fields, and the
@@ -124,4 +125,44 @@ fn threaded_executors_are_schedule_independent() {
             "original run {run} diverged"
         );
     }
+}
+
+/// The output bits are pinned, not just the inputs: five reference
+/// steps on a seeded random field hash to a fixed fingerprint, and a
+/// multi-block islands run (whose scratch windows slide from block to
+/// block) and the Original preset reproduce it. A change to any kernel's
+/// arithmetic, or to what a scratch window keeps, fails here.
+#[test]
+fn five_step_output_fingerprint_is_pinned() {
+    const PIN: u64 = 0x74FD_643F_C1AB_C164;
+    const CACHE: usize = 32 * 1024;
+    let d = Region3::of_extent(24, 12, 6);
+    let mut rng = Xoshiro256pp::seed_from_u64(0x0016_5EED);
+    let fields = random_fields(&mut rng, d, 0.7);
+    let mut reference = fields.clone();
+    ReferenceExecutor::new().run(&mut reference, 5);
+    assert_eq!(
+        hash_f64_slice(reference.x.as_slice()),
+        PIN,
+        "reference output drifted from its pinned fingerprint"
+    );
+
+    let pool = WorkerPool::new(4);
+    let islands = IslandsExecutor::new(&pool, TeamSpec::even(4, 2), Axis::I).cache_bytes(CACHE);
+    for part in islands.partition(d) {
+        let blocks = BlockPlanner::new(CACHE)
+            .plan_wavefront(islands.graph(), part, d)
+            .unwrap();
+        assert!(
+            blocks.len() >= 3,
+            "{part:?} is cut into {} blocks",
+            blocks.len()
+        );
+    }
+    let mut got = fields.clone();
+    islands.run(&mut got, 5).unwrap();
+    assert_eq!(hash_f64_slice(got.x.as_slice()), PIN, "islands");
+    let mut got = fields.clone();
+    OriginalExecutor::new(&pool).run(&mut got, 5);
+    assert_eq!(hash_f64_slice(got.x.as_slice()), PIN, "original");
 }
